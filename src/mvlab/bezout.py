@@ -9,6 +9,10 @@ measure-proportionality and homothety tests, a measure-power identity
 checker, the per-facet simplex audit, and a deterministic counterexample
 search.
 
+Every mixed volume here goes through mixed._mixed_volume_fast, which takes
+exact shortcuts and falls back to polarization; its values equal public
+mixed_volume's exactly.
+
 Facet displacements are denominator-cleared: MoveSpec.t shifts the bound of
 the primitive-normal inequality <x, z_i> <= c_i by t directly (a geometric
 displacement of t/||z_i|| along the unit normal). All identities checked
@@ -46,13 +50,14 @@ from .geometry import (
     vertex_adjacency,
     vertex_enumeration,
     _from_points,
+    _process_cache,
 )
 from .linalg import dot, perfect_nth_root, primitive, primitive_from_rational, rank, solve, vsub
 from .mixed import (
     DiscreteMeasure,
     mixed_area_measure,
-    mixed_volume,
     surface_area_measure,
+    _mixed_volume_fast,
 )
 
 
@@ -110,9 +115,9 @@ def bezout_gap(L: Polytope, M: Polytope, K: Polytope) -> BezoutCertificate:
     if not K.is_full_dimensional:
         raise DegenerateInput("K must be full-dimensional")
     base = [K] * (n - 2)
-    vLK = mixed_volume([L] + [K] * (n - 1))
-    vMK = mixed_volume([M] + [K] * (n - 1))
-    vLMK = mixed_volume([L, M] + base)
+    vLK = _mixed_volume_fast([L] + [K] * (n - 1))
+    vMK = _mixed_volume_fast([M] + [K] * (n - 1))
+    vLMK = _mixed_volume_fast([L, M] + base)
     gap = vLK * vMK - vLMK * K.volume
     return BezoutCertificate(
         L, M, K, gap, "satisfied" if gap >= 0 else "violated", gap == 0
@@ -134,8 +139,8 @@ def bezout_gap_general(bodies, delta: Polytope, r: int) -> Fraction:
             raise DimensionMismatch("body dimension differs from delta's")
     rhs = Fraction(1)
     for b in bodies:
-        rhs *= mixed_volume([b] + [delta] * (n - 1))
-    lhs = mixed_volume(bodies + [delta] * (n - r)) * delta.volume ** (r - 1)
+        rhs *= _mixed_volume_fast([b] + [delta] * (n - 1))
+    lhs = _mixed_volume_fast(bodies + [delta] * (n - r)) * delta.volume ** (r - 1)
     return rhs - lhs
 
 
@@ -148,7 +153,7 @@ def _shifted(K: Polytope, facet_index: int, t: Fraction) -> Polytope:
     return vertex_enumeration(halfspaces, K.dim)
 
 
-_range_cache: dict = {}
+_range_cache = _process_cache()
 
 
 def safe_move_range(K: Polytope, facet_index: int):
@@ -328,7 +333,7 @@ def lemma_measure_power_identity(K: Polytope, spec: MoveSpec, r: int) -> LemmaCh
     if not 0 <= r <= n - 1:
         raise BadArity(f"r={r} outside 0..{n - 1}")
     Kt = move_facet(K, spec)
-    lam = mixed_volume([Kt] + [K] * (n - 1)) / K.volume
+    lam = _mixed_volume_fast([Kt] + [K] * (n - 1)) / K.volume
     lhs = mixed_area_measure([Kt] * r + [K] * (n - 1 - r))
     rhs = surface_area_measure(K).scaled(lam**r)
     support = sorted(set(lhs.support()) | set(rhs.support()))
@@ -349,9 +354,9 @@ def af_spot_check(L: Polytope, M: Polytope, rest) -> Fraction:
         raise DimensionMismatch("bodies must share the ambient dimension")
     if len(rest) != n - 2:
         raise BadArity(f"expected {n - 2} fixed bodies, got {len(rest)}")
-    a = mixed_volume([L, M] + rest)
-    b = mixed_volume([L, L] + rest)
-    c = mixed_volume([M, M] + rest)
+    a = _mixed_volume_fast([L, M] + rest)
+    b = _mixed_volume_fast([L, L] + rest)
+    c = _mixed_volume_fast([M, M] + rest)
     return a * a - b * c
 
 
@@ -519,7 +524,7 @@ def facet_move_linearity_check(
     Kt = move_facet(K, MoveSpec(facet_index, t))
     base = [P] * (n - 1)
     return (
-        n * mixed_volume([Kt] + base)
-        - n * mixed_volume([K] + base)
+        n * _mixed_volume_fast([Kt] + base)
+        - n * _mixed_volume_fast([K] + base)
         - t * wP
     )

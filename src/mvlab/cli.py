@@ -42,6 +42,8 @@ def _dim_cap() -> int:
         v = int(env)
     except ValueError:
         raise BadParams(f"MVLAB_DIM_LIMIT must be an integer, got {env!r}")
+    if v < 2:
+        raise BadParams(f"MVLAB_DIM_LIMIT must be at least 2, got {v}")
     return min(DIM_CAP, v)  # may lower the cap, never raise it
 
 

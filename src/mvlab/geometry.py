@@ -30,7 +30,7 @@ from .errors import (
 from .hull import hull_int
 from .linalg import (
     dot,
-    primitive,
+    gcd_vec,
     primitive_from_rational,
     rank,
     rref,
@@ -40,6 +40,21 @@ from .linalg import (
 )
 
 DIM_CAP = 4  # polarization cost is 2^n - 1 volumes; keep n small
+
+_CACHES: list[dict] = []
+
+
+def _process_cache() -> dict:
+    """A new process-global memo dict, emptied by clear_caches()."""
+    cache: dict = {}
+    _CACHES.append(cache)
+    return cache
+
+
+def clear_caches():
+    """Empty every process-global cache of the package."""
+    for cache in _CACHES:
+        cache.clear()
 
 
 @dataclass(frozen=True)
@@ -121,7 +136,7 @@ def _affine_pivots(pts):
     return len(pivots), pivots
 
 
-_EMPTY_CACHE: dict[int, Polytope] = {}
+_EMPTY_CACHE: dict[int, Polytope] = _process_cache()
 
 
 def empty_polytope(dim: int) -> Polytope:
@@ -200,10 +215,11 @@ def vertex_enumeration(halfspaces, dim: int) -> Polytope:
         z, b = h.as_le()
         if not any(z):
             raise ZeroVector("halfspace with zero normal")
-        z = primitive(z)
         if len(z) != dim:
             raise DimensionMismatch("halfspace normal length mismatch")
-        b = Fraction(b)
+        g = gcd_vec(z)
+        z = tuple(c // g for c in z)
+        b = Fraction(b) / g
         if z not in tight or b < tight[z]:
             tight[z] = b
     normals = sorted(tight)

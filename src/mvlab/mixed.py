@@ -12,6 +12,11 @@ atom weights are (n-1)-dimensional mixed volumes of faces, computed in a
 dropped-coordinate chart. The two paths are independent oracles for each
 other.
 
+The gap and search code in bezout.py uses a third, private evaluator that
+takes exact shortcuts (equal slots, a point slot, the first-variation sum
+over a body's own facets, projection along a segment slot) and falls back
+to polarization; see _mixed_volume_fast.
+
 Weight convention: a stored atom weight w(z) at a primitive integer normal
 z encodes true-measure(z/||z||) = w(z)·||z||, which keeps every stored value
 rational. Support values are likewise denominator-cleared: h(z) = max<x,z>.
@@ -34,6 +39,7 @@ from .errors import (
 )
 from .geometry import (
     Polytope,
+    clear_caches,  # noqa: F401  re-exported; callers import it from here
     dilate,
     face_in_direction,
     facet_structure,
@@ -41,16 +47,12 @@ from .geometry import (
     project_along,
     support_value,
     _from_points,
+    _process_cache,
 )
 from .linalg import cross_rows, perfect_nth_root, primitive_from_rational, rref, vsub
 
-_volume_cache: dict = {}
-_sum_cache: dict = {}
-
-
-def clear_caches():
-    _volume_cache.clear()
-    _sum_cache.clear()
+_volume_cache = _process_cache()
+_sum_cache = _process_cache()
 
 
 @dataclass(frozen=True)
@@ -136,8 +138,7 @@ def _subset_volume(bodies) -> Fraction:
     return vol
 
 
-def mixed_volume(bodies) -> Fraction:
-    """Exact mixed volume of n bodies in R^n (repetitions allowed)."""
+def _checked_tuple(bodies):
     bodies = list(bodies)
     if not bodies:
         raise BadArity("mixed volume of an empty body tuple")
@@ -145,12 +146,56 @@ def mixed_volume(bodies) -> Fraction:
     if n > 4:
         raise DimensionLimit(f"ambient dimension {n} exceeds 4")
     _check_bodies(bodies, n, n)
+    return bodies, n
+
+
+def mixed_volume(bodies) -> Fraction:
+    """Exact mixed volume of n bodies in R^n (repetitions allowed)."""
+    bodies, n = _checked_tuple(bodies)
     total = Fraction(0)
     for size in range(1, n + 1):
         sign = (-1) ** (n - size)
         for subset in combinations(range(n), size):
             total += sign * _subset_volume([bodies[i] for i in subset])
     return total / factorial(n)
+
+
+def _mixed_volume_fast(bodies) -> Fraction:
+    """mixed_volume(bodies), through the first exact shortcut that applies
+    (Schneider, Convex Bodies, 2nd ed., section 5.1):
+
+    - all slots equal: V(K,...,K) = vol K;
+    - a point slot: mixed volumes are translation invariant and monotone,
+      so the value is 0;
+    - n-1 copies of a full-dimensional K: the first-variation formula
+      V(L,K[n-1]) = (1/n)·sum over K's facets of h_L(z)·w(z);
+    - a segment slot: projection along it, recursing in dimension n-1;
+    - otherwise polarization.
+
+    Only the gap and search code uses it; public mixed_volume stays the
+    polarization oracle.
+    """
+    bodies, n = _checked_tuple(bodies)
+    first = bodies[0]
+    if all(b == first for b in bodies):
+        return first.volume
+    if any(b.adim == 0 for b in bodies):
+        return Fraction(0)
+    for K in bodies:
+        if K.is_full_dimensional and sum(b == K for b in bodies) == n - 1:
+            L = next(b for b in bodies if b != K)
+            total = sum(
+                (support_value(L, f.normal) * f.normalized_volume for f in K.facets),
+                Fraction(0),
+            )
+            return total / n
+    for i, S in enumerate(bodies):
+        if S.adim == 1:
+            a, b = S.vertices
+            return _project_segment_slot(
+                vsub(b, a), bodies[:i] + bodies[i + 1 :], _mixed_volume_fast
+            )
+    return mixed_volume(bodies)
 
 
 def surface_area_measure(P: Polytope) -> DiscreteMeasure:
@@ -250,20 +295,28 @@ def segment_mixed_volume(v, bodies) -> Fraction:
         raise DimensionMismatch("segment direction length mismatch")
     if not any(vv):
         raise ZeroVector("segment direction is zero")
+    return _project_segment_slot(vv, bodies, mixed_volume)
 
-    projected = []
-    gram = None
+
+def _project_segment_slot(v, bodies, inner_mixed_volume) -> Fraction:
+    """V([0,v], bodies) for n-1 checked bodies in R^n and a nonzero rational
+    v, with inner_mixed_volume evaluating the (n-1)-dimensional mixed volume
+    of the projections. Each distinct body is projected once."""
+    n = len(v)
+    images = {}
     for body in bodies:
-        proj, g = project_along(body, vv)
-        gram = g if gram is None else gram
-        projected.append(proj)
+        if body.key() not in images:
+            images[body.key()] = project_along(body, v)
+    projected = [images[b.key()][0] for b in bodies]
+    # the Gram correction depends on v alone
+    gram = images[bodies[0].key()][1]
     if n == 2:
         inner = projected[0].volume if projected[0].adim == 1 else Fraction(0)
     else:
-        inner = mixed_volume(projected)
+        inner = inner_mixed_volume(projected)
     # ||v||·sqrt(gram) is rational: its square is asserted to be a perfect
     # square of rationals
-    norm2 = sum(c * c for c in vv)
+    norm2 = sum(c * c for c in v)
     scale2 = norm2 * gram
     scale = perfect_nth_root(scale2, 2)
     if scale is None:

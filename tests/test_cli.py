@@ -1,11 +1,14 @@
 import json
+import re
 
 import pytest
 
+from mvlab import bezout
 from mvlab.cli import main
 from mvlab.documents import serialize_polytope
 from mvlab.generators import cube
 from mvlab.geometry import convex_hull
+from mvlab.mixed import mixed_volume
 
 
 def run(capsys, argv):
@@ -169,6 +172,29 @@ def test_search_determinism(capsys):
     assert strip_timing(rep1) == strip_timing(rep2)
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["search", "--gen", "cube:3"],
+        ["search", "--gen", "cross_polytope:4"],
+        ["strict", "--gen", "regular_polygon:64,1000000"],
+        ["af_fuzz", "--samples", "6", "--seed", "5"],
+        ["af_fuzz", "--samples", "4", "--gen", "cube:3"],
+    ],
+)
+def test_reports_match_polarization(monkeypatch, capsys, argv):
+    """The shortcut evaluator behind the gap and search code leaves each
+    report byte-identical, apart from timing_ms, to the polarization one."""
+
+    def untimed(argv):
+        code, out = run(capsys, argv)
+        return code, re.sub(r'"timing_ms": [-+.\deE]+', "", out)
+
+    fast = untimed(argv)
+    monkeypatch.setattr(bezout, "_mixed_volume_fast", mixed_volume)
+    assert untimed(argv) == fast
+
+
 def test_csv_output(capsys):
     code, out = run(
         capsys, ["bezout", "--format", "csv", "--gen", "simplex:2",
@@ -238,6 +264,14 @@ def test_dim_limit_env(monkeypatch, capsys):
     monkeypatch.setenv("MVLAB_DIM_LIMIT", "many")
     assert main(["audit", "--gen", "cube:2"]) == 2
     capsys.readouterr()
+    for limit in ("0", "-3"):
+        monkeypatch.setenv("MVLAB_DIM_LIMIT", limit)
+        code, rep = run_json(capsys, ["audit", "--gen", "cube:2"])
+        assert code == 2
+        assert rep["error"] == {
+            "type": "BadParams",
+            "message": f"MVLAB_DIM_LIMIT must be at least 2, got {limit}",
+        }
 
 
 def test_gen_fraction_param(capsys):

@@ -130,6 +130,10 @@ def test_vertex_enumeration_square():
         Halfspace((0, 1), 1), Halfspace((0, -1), 0),
     ]
     assert vertex_enumeration(hs, 2) == square()
+    # a non-primitive normal scales its bound too: 2x <= 1 is x <= 1/2
+    hs[0] = Halfspace((2, 0), 1)
+    half = convex_hull([(0, 0), (F(1, 2), 0), (0, 1), (F(1, 2), 1)], 2)
+    assert vertex_enumeration(hs, 2) == half
 
 
 def test_vertex_enumeration_unbounded():

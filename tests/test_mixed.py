@@ -4,10 +4,19 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import rand_body, rand_full_body, rand_segment
+from conftest import (
+    mix_body,
+    rand_affine_simplex,
+    rand_body,
+    rand_full_body,
+    rand_segment,
+)
+from mvlab import bezout, geometry, mixed
 from mvlab.errors import BadArity, DimensionMismatch
+from mvlab.generators import cross_polytope, cube, simplex
 from mvlab.geometry import convex_hull, dilate, minkowski_sum, translate
 from mvlab.mixed import (
+    _mixed_volume_fast,
     clear_caches,
     mixed_area_measure,
     mixed_volume,
@@ -218,5 +227,79 @@ def test_measure_scaled():
 
 def test_clear_caches_is_safe():
     v1 = mixed_volume([square(), triangle()])
+    bezout.safe_move_range(cube(2), 0)
+    geometry.empty_polytope(2)
+    caches = (
+        mixed._volume_cache,
+        mixed._sum_cache,
+        bezout._range_cache,
+        geometry._EMPTY_CACHE,
+    )
+    assert all(caches)
     clear_caches()
+    assert not any(caches)
     assert mixed_volume([square(), triangle()]) == v1
+
+
+# ---------------------------------------------------------------- shortcuts
+
+
+def _criterion2_triples(n):
+    """(L, M, K) in the order acceptance criterion 2 draws them at n."""
+    rng = random.Random(f"acc2:{n}")
+    simplices = [simplex(n)] + [rand_affine_simplex(rng, n) for _ in range(20)]
+    for K in simplices:
+        for j in range(10):
+            L = mix_body(rng, n, segments_only=(n == 4 and j % 3 != 0))
+            M = mix_body(rng, n, segments_only=(n == 4))
+            yield L, M, K
+        yield K, mix_body(rng, n), K
+
+
+def _criterion8_triples(count):
+    """(L, M, rest) in the order acceptance criterion 8 draws them."""
+    for i in range(count):
+        n = 2 + (i % 2)
+        rng = random.Random(f"acc8af:{i}")
+        L = rand_body(rng, n)
+        M = rand_body(rng, n)
+        yield L, M, [rand_body(rng, n) for _ in range(n - 2)]
+
+
+@pytest.mark.parametrize("n, count", [(2, 66), (3, 33), (4, 11)])
+def test_fast_evaluator_matches_polarization_on_gap_tuples(n, count):
+    for L, M, K in itertools.islice(_criterion2_triples(n), count):
+        base = [K] * (n - 2)
+        for bodies in ([L, K] + base, [M, K] + base, [L, M] + base):
+            assert _mixed_volume_fast(bodies) == mixed_volume(bodies)
+
+
+def test_fast_evaluator_matches_polarization_on_af_tuples():
+    for L, M, rest in _criterion8_triples(60):
+        for bodies in ([L, M] + rest, [L, L] + rest, [M, M] + rest):
+            assert _mixed_volume_fast(bodies) == mixed_volume(bodies)
+
+
+def test_fast_evaluator_branches(monkeypatch):
+    seg4 = [seg((0,) * 4, tuple(int(i == j) for j in range(4)), 4) for i in range(2)]
+    tri3 = convex_hull([(0, 0, 0), (1, 2, 0), (0, 1, 3)], 3, allow_lower=True)
+    point3 = convex_hull([(1, 2, 3)], 3, allow_lower=True)
+    cases = [
+        # (bodies, evaluated by polarization)
+        ([cube3()] * 3, False),
+        ([point3, cube3(), simplex(3)], False),
+        ([tri3, simplex(3), simplex(3)], False),
+        ([seg((0, 0), (1, 2), 2), seg((1, 0), (0, 3), 2)], False),
+        ([seg((0, 0, 0), (1, 1, 2), 3), tri3, cube3()], False),
+        (seg4 + [simplex(4)] * 2, False),
+        ([cube3(), simplex(3), cross_polytope(3)], True),
+    ]
+    for bodies, falls_back in cases:
+        expected = mixed_volume(bodies)
+        calls = []
+        monkeypatch.setattr(
+            mixed, "mixed_volume", lambda b: calls.append(b) or mixed_volume(b)
+        )
+        assert _mixed_volume_fast(bodies) == expected
+        assert bool(calls) == falls_back
+        monkeypatch.undo()
