@@ -49,9 +49,10 @@ from .geometry import (
     support_value,
     vertex_adjacency,
     vertex_enumeration,
+    _bounded_cache,
     _from_points,
-    _process_cache,
 )
+from .generators import random_points
 from .linalg import dot, perfect_nth_root, primitive, primitive_from_rational, rank, solve, vsub
 from .mixed import (
     DiscreteMeasure,
@@ -153,9 +154,7 @@ def _shifted(K: Polytope, facet_index: int, t: Fraction) -> Polytope:
     return vertex_enumeration(halfspaces, K.dim)
 
 
-_range_cache = _process_cache()
-
-
+@_bounded_cache
 def safe_move_range(K: Polytope, facet_index: int):
     """Certified interval (t_min, 0) u (0, t_max) of bound shifts that keep
     the primitive facet-normal set of K unchanged.
@@ -169,10 +168,6 @@ def safe_move_range(K: Polytope, facet_index: int):
     facets = facet_structure(K)
     if not 0 <= facet_index < len(facets):
         raise BadParams(f"facet index {facet_index} out of range")
-    cache_key = (K.key(), facet_index)
-    cached = _range_cache.get(cache_key)
-    if cached is not None:
-        return cached
 
     n = K.dim
     fi = facets[facet_index]
@@ -232,8 +227,6 @@ def safe_move_range(K: Polytope, facet_index: int):
         t_min /= 2
     else:
         raise InternalCheckError("no verifiable negative move range found")
-
-    _range_cache[cache_key] = (t_min, t_max)
     return t_min, t_max
 
 
@@ -404,11 +397,7 @@ def _canon_direction(d):
 
 def _search_random_body(n: int, index: int) -> Polytope:
     rng = random.Random(f"mvlab-search:{n}:{index}")
-    pts = [
-        tuple(Fraction(rng.randrange(-6, 7), rng.randrange(1, 4)) for _ in range(n))
-        for _ in range(n + 2)
-    ]
-    return _from_points(pts, n)
+    return _from_points(random_points(rng, n, n + 2, 6, 3), n)
 
 
 def counterexample_search(K: Polytope, budget: int) -> BezoutCertificate:

@@ -28,7 +28,7 @@ from .documents import (
     serialize_polytope,
 )
 from .errors import BadArity, BadParams, BudgetExhausted, MvlabError, ParseError
-from .generators import generate
+from .generators import generate, random_points
 from .geometry import DIM_CAP, convex_hull
 from .linalg import primitive_from_rational
 from .mixed import mixed_volume, mixed_volume_via_measure
@@ -242,14 +242,7 @@ def _cmd_af_fuzz(ns, bodies):
         rng = random.Random(f"mvlab-af:{ns.seed}:{i}")
 
         def body():
-            pts = [
-                tuple(
-                    Fraction(rng.randrange(-5, 6), rng.randrange(1, 4))
-                    for _ in range(n)
-                )
-                for _ in range(n + 2)
-            ]
-            return convex_hull(pts, n, allow_lower=True)
+            return convex_hull(random_points(rng, n, n + 2, 5, 3), n, allow_lower=True)
 
         L, M = body(), body()
         rest = [fixed] * (n - 2) if fixed is not None else [

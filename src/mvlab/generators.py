@@ -13,14 +13,12 @@ import random
 from fractions import Fraction
 
 from .errors import BadParams
-from .geometry import Halfspace, Polytope, clip_halfspace, convex_hull
-
-_MAX_DIM = 4
+from .geometry import DIM_CAP, Halfspace, Polytope, clip_halfspace, convex_hull
 
 
 def _check_dim(n):
-    if not isinstance(n, int) or not 1 <= n <= _MAX_DIM:
-        raise BadParams(f"dimension {n!r} outside 1..{_MAX_DIM}")
+    if not isinstance(n, int) or not 1 <= n <= DIM_CAP:
+        raise BadParams(f"dimension {n!r} outside 1..{DIM_CAP}")
 
 
 def simplex(n: int) -> Polytope:
@@ -62,6 +60,18 @@ def prism(base: Polytope, height) -> Polytope:
     return convex_hull(pts, n)
 
 
+def random_points(rng: random.Random, n: int, count: int, span: int, max_den: int):
+    """count points of R^n drawn from rng; each coordinate is a/b with a
+    uniform in -span..span and b uniform in 1..max_den."""
+    return [
+        tuple(
+            Fraction(rng.randrange(-span, span + 1), rng.randrange(1, max_den + 1))
+            for _ in range(n)
+        )
+        for _ in range(count)
+    ]
+
+
 def random_hull(n: int, m: int, seed: int) -> Polytope:
     """Hull of m seeded random rational points, redrawn until full-dimensional."""
     _check_dim(n)
@@ -69,10 +79,7 @@ def random_hull(n: int, m: int, seed: int) -> Polytope:
         raise BadParams(f"need at least {n + 1} points, got {m}")
     rng = random.Random(f"mvlab-gen:{n}:{m}:{seed}")
     for _ in range(64):
-        pts = [
-            tuple(Fraction(rng.randrange(-10, 11), rng.randrange(1, 5)) for _ in range(n))
-            for _ in range(m)
-        ]
+        pts = random_points(rng, n, m, 10, 4)
         poly = convex_hull(pts, n, allow_lower=True)
         if poly.is_full_dimensional:
             return poly

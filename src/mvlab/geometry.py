@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
 
 from .errors import (
@@ -41,20 +42,22 @@ from .linalg import (
 
 DIM_CAP = 4  # polarization cost is 2^n - 1 volumes; keep n small
 
-_CACHES: list[dict] = []
+_CACHES: list = []
 
 
-def _process_cache() -> dict:
-    """A new process-global memo dict, emptied by clear_caches()."""
-    cache: dict = {}
-    _CACHES.append(cache)
-    return cache
+def _bounded_cache(fn):
+    """fn memoized in a process-global LRU cache of 256 entries, emptied by
+    clear_caches(). Arguments are keyed by value, so Polytope arguments hit
+    on equal vertex lists."""
+    cached = lru_cache(maxsize=256)(fn)
+    _CACHES.append(cached)
+    return cached
 
 
 def clear_caches():
     """Empty every process-global cache of the package."""
     for cache in _CACHES:
-        cache.clear()
+        cache.cache_clear()
 
 
 @dataclass(frozen=True)
@@ -79,25 +82,22 @@ class FacetData:
     normalized_volume: Fraction  # Vol_{n-1}(facet) / ||normal||
 
 
+@dataclass(frozen=True, slots=True, eq=False)
 class Polytope:
     """Immutable convex polytope; construct via convex_hull and friends.
 
     adim is the affine-hull dimension: adim == dim for full-dimensional
     bodies, lower for faces and projections, -1 for the empty polytope.
     volume is the ambient-dimension volume (0 whenever adim < dim).
+    Equality and hashing use (dim, vertices) alone: the facets and the
+    volume are functions of the vertices.
     """
 
-    __slots__ = ("dim", "adim", "vertices", "facets", "volume")
-
-    def __init__(self, dim, adim, vertices, facets, volume):
-        object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "adim", adim)
-        object.__setattr__(self, "vertices", vertices)
-        object.__setattr__(self, "facets", facets)
-        object.__setattr__(self, "volume", volume)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Polytope is immutable")
+    dim: int
+    adim: int
+    vertices: tuple
+    facets: tuple
+    volume: Fraction
 
     def key(self):
         return (self.dim, self.vertices)
@@ -136,13 +136,8 @@ def _affine_pivots(pts):
     return len(pivots), pivots
 
 
-_EMPTY_CACHE: dict[int, Polytope] = _process_cache()
-
-
 def empty_polytope(dim: int) -> Polytope:
-    if dim not in _EMPTY_CACHE:
-        _EMPTY_CACHE[dim] = Polytope(dim, -1, (), (), Fraction(0))
-    return _EMPTY_CACHE[dim]
+    return Polytope(dim, -1, (), (), Fraction(0))
 
 
 def _from_points(points, dim: int) -> Polytope:

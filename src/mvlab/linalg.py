@@ -10,8 +10,6 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, isqrt
 
-Vec = tuple  # length-n tuple of Fraction (or int in scaled contexts)
-
 
 def dot(a, b):
     return sum(x * y for x, y in zip(a, b))
@@ -19,18 +17,6 @@ def dot(a, b):
 
 def vsub(a, b):
     return tuple(x - y for x, y in zip(a, b))
-
-
-def vadd(a, b):
-    return tuple(x + y for x, y in zip(a, b))
-
-
-def vscale(a, s):
-    return tuple(x * s for x in a)
-
-
-def vneg(a):
-    return tuple(-x for x in a)
 
 
 def det(rows) -> int | Fraction:
@@ -44,17 +30,7 @@ def det(rows) -> int | Fraction:
     if n == 3:
         (a, b, c), (d, e, f), (g, h, i) = rows
         return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
-    if n == 4:
-        r0, r1, r2, r3 = rows
-        m = (r1, r2, r3)
-        total = 0
-        sign = 1
-        for col in range(4):
-            sub = [tuple(r[c] for c in range(4) if c != col) for r in m]
-            total += sign * r0[col] * det(sub)
-            sign = -sign
-        return total
-    # general cofactor fallback, only ever hit for n=5
+    # cofactor expansion along the first row, for n = 4 and 5
     total = 0
     sign = 1
     rest = rows[1:]
@@ -105,70 +81,54 @@ def primitive_from_rational(v):
     return primitive(ints)
 
 
-def rank(rows) -> int:
-    """Exact rank via fraction-free Gaussian elimination."""
-    mat = [list(map(Fraction, r)) for r in rows]
-    if not mat:
-        return 0
-    ncols = len(mat[0])
-    r = 0
+def _eliminate(mat, ncols) -> list[int]:
+    """Gauss-Jordan elimination of a Fraction matrix in place, over its first
+    ncols columns, without normalizing pivots. Returns the pivot columns:
+    afterwards row i has its leading entry in column pivots[i] and a zero
+    in every other pivot column."""
+    pivots: list[int] = []
     for c in range(ncols):
+        r = len(pivots)
         piv = next((i for i in range(r, len(mat)) if mat[i][c] != 0), None)
         if piv is None:
             continue
         mat[r], mat[piv] = mat[piv], mat[r]
+        row = mat[r]
+        p = row[c]
         for i in range(len(mat)):
             if i != r and mat[i][c] != 0:
-                f = mat[i][c] / mat[r][c]
-                mat[i] = [a - f * b for a, b in zip(mat[i], mat[r])]
-        r += 1
-        if r == len(mat):
+                f = mat[i][c] / p
+                mat[i] = [a - f * b for a, b in zip(mat[i], row)]
+        pivots.append(c)
+        if r + 1 == len(mat):
             break
-    return r
+    return pivots
+
+
+def rank(rows) -> int:
+    """Exact rank via Gaussian elimination over Fractions."""
+    mat = [list(map(Fraction, r)) for r in rows]
+    if not mat:
+        return 0
+    return len(_eliminate(mat, len(mat[0])))
 
 
 def rref(rows):
     """Reduced row echelon form. Returns (pivot column indices, rows)."""
     mat = [list(map(Fraction, r)) for r in rows]
-    pivots: list[int] = []
     if not mat:
-        return pivots, []
-    ncols = len(mat[0])
-    r = 0
-    for c in range(ncols):
-        piv = next((i for i in range(r, len(mat)) if mat[i][c] != 0), None)
-        if piv is None:
-            continue
-        mat[r], mat[piv] = mat[piv], mat[r]
-        inv = mat[r][c]
-        mat[r] = [a / inv for a in mat[r]]
-        for i in range(len(mat)):
-            if i != r and mat[i][c] != 0:
-                f = mat[i][c]
-                mat[i] = [a - f * b for a, b in zip(mat[i], mat[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(mat):
-            break
-    return pivots, [tuple(row) for row in mat[: len(pivots)]]
+        return [], []
+    pivots = _eliminate(mat, len(mat[0]))
+    return pivots, [tuple(a / row[c] for a in row) for row, c in zip(mat, pivots)]
 
 
 def solve(a_rows, b):
     """Solve a square rational system exactly; None when singular."""
     n = len(a_rows)
     mat = [list(map(Fraction, row)) + [Fraction(b[i])] for i, row in enumerate(a_rows)]
-    for c in range(n):
-        piv = next((i for i in range(c, n) if mat[i][c] != 0), None)
-        if piv is None:
-            return None
-        mat[c], mat[piv] = mat[piv], mat[c]
-        inv = mat[c][c]
-        mat[c] = [x / inv for x in mat[c]]
-        for i in range(n):
-            if i != c and mat[i][c] != 0:
-                f = mat[i][c]
-                mat[i] = [x - f * y for x, y in zip(mat[i], mat[c])]
-    return tuple(mat[i][n] for i in range(n))
+    if len(_eliminate(mat, n)) < n:
+        return None
+    return tuple(row[n] / row[i] for i, row in enumerate(mat))
 
 
 def lcm(a: int, b: int) -> int:
@@ -187,13 +147,6 @@ def scale_to_int(points):
     """Clear denominators: returns (integer point tuples, scale s) with p_int = s*p."""
     s = common_denominator(points)
     return [tuple(int(x * s) for x in p) for p in points], s
-
-
-def gram_det(vectors) -> Fraction:
-    g = [[Fraction(dot(a, b)) for b in vectors] for a in vectors]
-    if not g:
-        return Fraction(1)
-    return Fraction(det(g))
 
 
 def perfect_nth_root(x: Fraction, k: int):

@@ -3,8 +3,9 @@
 The polarization evaluator expands n!·V(K_1,...,K_n) by inclusion-exclusion
 over the n slots: sum over nonempty slot subsets S of (-1)^(n-|S|) times the
 volume of the Minkowski sum over S. Repeated slots are summed as dilates
-(K + K = 2K for convex K) and subset-sum volumes are memoized by the
-multiset of bodies, so repeated bodies cost nothing extra.
+(K + K = 2K for convex K), and the Minkowski sum of each sorted body tuple
+is kept in a bounded LRU cache (see geometry._bounded_cache), so a subset
+shared by several mixed volumes is usually summed once.
 
 The measure path represents V(L, K_1,...,K_{n-1}) = (1/n) sum of
 h_L(z) * w(z) over the atoms of the mixed area measure of (K_1,...,K_{n-1});
@@ -26,7 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, groupby
 from math import factorial
 
 from .errors import (
@@ -38,6 +39,7 @@ from .errors import (
     ZeroVector,
 )
 from .geometry import (
+    DIM_CAP,
     Polytope,
     clear_caches,  # noqa: F401  re-exported; callers import it from here
     dilate,
@@ -46,13 +48,10 @@ from .geometry import (
     minkowski_sum,
     project_along,
     support_value,
+    _bounded_cache,
     _from_points,
-    _process_cache,
 )
 from .linalg import cross_rows, perfect_nth_root, primitive_from_rational, rref, vsub
-
-_volume_cache = _process_cache()
-_sum_cache = _process_cache()
 
 
 @dataclass(frozen=True)
@@ -89,74 +88,49 @@ def _make_measure(dim, weights: dict) -> DiscreteMeasure:
     return DiscreteMeasure(dim, atoms)
 
 
-def _check_bodies(bodies, n: int, count: int):
-    if len(bodies) != count:
-        raise BadArity(f"expected {count} bodies, got {len(bodies)}")
+def _checked(bodies, missing: int):
+    """The bodies as a list, checked to be n - missing nonempty Polytopes in
+    one R^n with n <= DIM_CAP; returns (bodies, n)."""
+    bodies = list(bodies)
+    if not bodies:
+        raise BadArity("empty body tuple")
+    if not all(isinstance(b, Polytope) for b in bodies):
+        raise DegenerateInput("inputs must be Polytope values")
+    n = bodies[0].dim
+    if n > DIM_CAP:
+        raise DimensionLimit(f"ambient dimension {n} exceeds {DIM_CAP}")
+    if len(bodies) != n - missing:
+        raise BadArity(f"expected {n - missing} bodies, got {len(bodies)}")
     for b in bodies:
-        if not isinstance(b, Polytope):
-            raise DegenerateInput("inputs must be Polytope values")
         if b.dim != n:
             raise DimensionMismatch(f"body of dimension {b.dim}, expected {n}")
         if b.is_empty:
             raise DegenerateInput("mixed volume of an empty polytope")
+    return bodies, n
 
 
-def _multiset_key(bodies):
-    return tuple(sorted(b.key() for b in bodies))
-
-
-def _grouped(bodies):
-    groups: dict = {}
-    for b in bodies:
-        groups.setdefault(b.key(), [b, 0])
-        groups[b.key()][1] += 1
-    return [(body, count) for body, count in (groups[k] for k in sorted(groups))]
-
-
-def _subset_sum(bodies) -> Polytope:
-    """Minkowski sum of a multiset of bodies, memoized; repeated bodies are
+@_bounded_cache
+def _subset_sum(bodies: tuple) -> Polytope:
+    """Minkowski sum of a tuple of bodies sorted by key; repeated bodies are
     folded as dilates."""
-    key = _multiset_key(bodies)
-    cached = _sum_cache.get(key)
-    if cached is not None:
-        return cached
     total = None
-    for body, count in _grouped(bodies):
+    for body, copies in groupby(bodies):
+        count = sum(1 for _ in copies)
         part = dilate(body, count) if count > 1 else body
         total = part if total is None else minkowski_sum(total, part)
-    _sum_cache[key] = total
     return total
-
-
-def _subset_volume(bodies) -> Fraction:
-    key = _multiset_key(bodies)
-    cached = _volume_cache.get(key)
-    if cached is not None:
-        return cached
-    vol = _subset_sum(bodies).volume
-    _volume_cache[key] = vol
-    return vol
-
-
-def _checked_tuple(bodies):
-    bodies = list(bodies)
-    if not bodies:
-        raise BadArity("mixed volume of an empty body tuple")
-    n = bodies[0].dim
-    if n > 4:
-        raise DimensionLimit(f"ambient dimension {n} exceeds 4")
-    _check_bodies(bodies, n, n)
-    return bodies, n
 
 
 def mixed_volume(bodies) -> Fraction:
     """Exact mixed volume of n bodies in R^n (repetitions allowed)."""
-    bodies, n = _checked_tuple(bodies)
+    bodies, n = _checked(bodies, 0)
+    # sorted once, every index-ordered subset is a sorted tuple
+    bodies.sort(key=Polytope.key)
     total = Fraction(0)
     for size in range(1, n + 1):
         sign = (-1) ** (n - size)
-        for subset in combinations(range(n), size):
-            total += sign * _subset_volume([bodies[i] for i in subset])
+        for subset in combinations(bodies, size):
+            total += sign * _subset_sum(subset).volume
     return total / factorial(n)
 
 
@@ -175,7 +149,7 @@ def _mixed_volume_fast(bodies) -> Fraction:
     Only the gap and search code uses it; public mixed_volume stays the
     polarization oracle.
     """
-    bodies, n = _checked_tuple(bodies)
+    bodies, n = _checked(bodies, 0)
     first = bodies[0]
     if all(b == first for b in bodies):
         return first.volume
@@ -234,15 +208,8 @@ def mixed_area_measure(bodies) -> DiscreteMeasure:
     direction z, computed in the chart that deletes a coordinate k with
     maximal |z_k| and divided by |z_k|. Atoms of zero weight are dropped.
     """
-    bodies = list(bodies)
-    if not bodies:
-        raise BadArity("mixed area measure needs n-1 bodies")
-    n = bodies[0].dim
-    if n > 4:
-        raise DimensionLimit(f"ambient dimension {n} exceeds 4")
-    _check_bodies(bodies, n, n - 1)
-
-    total = _subset_sum(bodies)
+    bodies, n = _checked(bodies, 1)
+    total = _subset_sum(tuple(sorted(bodies, key=Polytope.key)))
     if total.adim == n:
         candidates = [f.normal for f in total.facets]
     elif total.adim == n - 1:
@@ -283,13 +250,7 @@ def segment_mixed_volume(v, bodies) -> Fraction:
     """V([0,v], K_2,...,K_n) via projection: (1/n)·||v||·V^(n-1) of the
     projections onto v-perp. The irrational factors ||v|| and sqrt(gram)
     cancel exactly; their product is asserted to be a rational square."""
-    bodies = list(bodies)
-    if not bodies:
-        raise BadArity("segment mixed volume needs n-1 bodies")
-    n = bodies[0].dim
-    if n > 4:
-        raise DimensionLimit(f"ambient dimension {n} exceeds 4")
-    _check_bodies(bodies, n, n - 1)
+    bodies, n = _checked(bodies, 1)
     vv = tuple(Fraction(c) for c in v)
     if len(vv) != n:
         raise DimensionMismatch("segment direction length mismatch")

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import rand_body, rand_full_body, rand_segment
+from mvlab import bezout
 from mvlab.bezout import (
     MoveSpec,
     af_spot_check,
@@ -365,6 +366,11 @@ def test_search_exhaustion():
         counterexample_search(simplex(2), 150)
     assert exc.value.evaluations == 150
     assert "150" in str(exc.value)
+    # stage (d) draws its bodies from fixed seeds; pin one draw
+    verts = bezout._search_random_body(3, 0).vertices
+    assert len(verts) == 5
+    assert verts[0] == (F(-5, 2), F(1), F(-1))
+    assert verts[-1] == (F(2), F(5, 3), F(-6))
 
 
 def test_search_budget_validation():

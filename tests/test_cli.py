@@ -146,6 +146,7 @@ def test_af_fuzz_small(capsys):
     code, rep = run_json(capsys, ["af_fuzz", "--samples", "6", "--seed", "5"])
     assert code == 0
     assert rep["results"]["samples"] == 6
+    assert rep["results"]["min_slack"] == [815, 18]
     assert rep["results"]["negative"] == []
     assert rep["verdicts"]["verdict"] == "all_nonnegative"
 

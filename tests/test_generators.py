@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from mvlab.documents import document_digest, serialize_polytope
 from mvlab.errors import BadParams
 from mvlab.generators import (
     ball_approx_3d,
@@ -71,6 +72,9 @@ def test_random_hull_deterministic():
     assert a.is_full_dimensional
     c = random_hull(3, 6, 0)
     assert c.is_full_dimensional
+    assert document_digest(serialize_polytope(c)) == (
+        "4ccd0eb0399fd5c99b20b3da21b1e2f87171ff0f2305cc45d933bacdbb548738"
+    )
     assert random_hull(2, 6, 8) != a
     with pytest.raises(BadParams):
         random_hull(2, 2, 0)

@@ -8,7 +8,6 @@ from mvlab.linalg import (
     cross_rows,
     det,
     dot,
-    gram_det,
     perfect_nth_root,
     primitive,
     primitive_from_rational,
@@ -81,7 +80,11 @@ def test_solve_exact():
         a = [[Fraction(rng.randrange(-5, 6), rng.randrange(1, 4)) for _ in range(n)]
              for _ in range(n)]
         if det(a) == 0:
+            # consistent right-hand side (x = all ones), still no unique solution
+            assert solve(a, [sum(row) for row in a]) is None
+            assert rank(a) < n
             continue
+        assert rank(a) == n
         x = [Fraction(rng.randrange(-5, 6), rng.randrange(1, 4)) for _ in range(n)]
         b = [dot(row, x) for row in a]
         assert list(solve(a, b)) == x
@@ -96,11 +99,6 @@ def test_scale_to_int():
     pts, s = scale_to_int([(Fraction(1, 2), Fraction(1, 3))])
     assert s == 6 and pts == [(3, 2)]
     assert common_denominator([(Fraction(1, 4), Fraction(3, 2))]) == 4
-
-
-def test_gram_det():
-    assert gram_det([(1, 1)]) == 2
-    assert gram_det([(1, 0, 0), (0, 1, 0)]) == 1
 
 
 def test_perfect_nth_root_small():

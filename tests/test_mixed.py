@@ -12,9 +12,9 @@ from conftest import (
     rand_segment,
 )
 from mvlab import bezout, geometry, mixed
-from mvlab.errors import BadArity, DimensionMismatch
+from mvlab.errors import BadArity, DegenerateInput, DimensionLimit, DimensionMismatch
 from mvlab.generators import cross_polytope, cube, simplex
-from mvlab.geometry import convex_hull, dilate, minkowski_sum, translate
+from mvlab.geometry import Polytope, convex_hull, dilate, minkowski_sum, translate
 from mvlab.mixed import (
     _mixed_volume_fast,
     clear_caches,
@@ -75,6 +75,25 @@ def test_arity_and_dimension_errors():
         mixed_volume([square(), square(), square()])
     with pytest.raises(DimensionMismatch):
         mixed_volume([square(), cube3()])
+
+
+@pytest.mark.parametrize(
+    "evaluate, missing",
+    [
+        (mixed_volume, 0),
+        (_mixed_volume_fast, 0),
+        (mixed_area_measure, 1),
+        (lambda bodies: segment_mixed_volume((1,) + (0,) * len(bodies), bodies), 1),
+    ],
+    ids=["mixed_volume", "fast", "mixed_area_measure", "segment_mixed_volume"],
+)
+def test_input_checks_type_first_and_cap(evaluate, missing):
+    """Each evaluator takes n - missing bodies in R^n."""
+    with pytest.raises(DegenerateInput, match="Polytope values"):
+        evaluate([(0, 0)] + [square()] * (1 - missing))
+    big = Polytope(5, 5, ((F(0),) * 5,), (), F(0))
+    with pytest.raises(DimensionLimit, match="ambient dimension 5 exceeds 4"):
+        evaluate([big] * (5 - missing))
 
 
 def test_surface_area_measure_square():
@@ -228,16 +247,12 @@ def test_measure_scaled():
 def test_clear_caches_is_safe():
     v1 = mixed_volume([square(), triangle()])
     bezout.safe_move_range(cube(2), 0)
-    geometry.empty_polytope(2)
-    caches = (
-        mixed._volume_cache,
-        mixed._sum_cache,
-        bezout._range_cache,
-        geometry._EMPTY_CACHE,
-    )
-    assert all(caches)
+    caches = [c.cache_info() for c in geometry._CACHES]
+    assert len(caches) == 2
+    assert all(info.currsize > 0 for info in caches)
+    assert all(info.maxsize is not None for info in caches)
     clear_caches()
-    assert not any(caches)
+    assert all(c.cache_info().currsize == 0 for c in geometry._CACHES)
     assert mixed_volume([square(), triangle()]) == v1
 
 
