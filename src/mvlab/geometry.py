@@ -147,31 +147,27 @@ def _from_points(points, dim: int) -> Polytope:
         return empty_polytope(dim)
     if len(pts) == 1:
         return Polytope(dim, 0, (pts[0],), (), Fraction(0))
-    r, pivots = _affine_pivots(pts)
+    scaled, s = scale_to_int(pts)
+    r, pivots = _affine_pivots(scaled)
     if r < dim:
         # chart: restriction to the pivot coordinates is injective on the
         # affine hull, so the extreme points can be found there
-        chart = [tuple(p[c] for c in pivots) for p in pts]
-        scaled, _ = scale_to_int(chart)
-        back = dict(zip(scaled, pts))
-        hd = hull_int(scaled, r)
+        chart = [tuple(p[c] for c in pivots) for p in scaled]
+        back = dict(zip(chart, pts))
+        hd = hull_int(chart, r)
         verts = tuple(sorted(back[hd.points[i]] for i in hd.vertex_indices))
         return Polytope(dim, r, verts, (), Fraction(0))
 
-    scaled, s = scale_to_int(pts)
     hd = hull_int(scaled, dim)
     verts = tuple(
         tuple(Fraction(c, s) for c in hd.points[i]) for i in hd.vertex_indices
     )
+    position = {i: k for k, i in enumerate(hd.vertex_indices)}
     facets = []
     for hf in hd.facets:
-        offset = Fraction(hf.offset, s)
-        incident = tuple(
-            i for i, v in enumerate(verts) if dot(hf.normal, v) == offset
-        )
-        facets.append(
-            FacetData(hf.normal, offset, incident, hf.weight / s ** (dim - 1))
-        )
+        incident = tuple(position[i] for i in hf.vertices)
+        weight = hf.weight / s ** (dim - 1)
+        facets.append(FacetData(hf.normal, Fraction(hf.offset, s), incident, weight))
     return Polytope(dim, dim, verts, tuple(facets), hd.volume / s**dim)
 
 

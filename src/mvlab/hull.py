@@ -11,8 +11,13 @@ supporting hyperplane, and simplices that are flat at t=0 contribute zero
 to every volume and facet weight, so all reported quantities are exact for
 the unperturbed input.
 
-Tie-breaking is lexicographic: points are deduplicated, sorted, and
-inserted in lexicographic order.
+Points are deduplicated, sorted and inserted in lexicographic order, so
+each one after the initial simplex is outside the hull and sees a facet at
+the previous lex maximum. An insertion searches those facets for a visible
+seed and walks across ridges through the visible ones to the horizon; it
+never scans the whole hull. Each output facet lists its extreme points,
+taken from the boundary simplices merged into it, and a point is a vertex
+exactly when the normals of its facets span R^d.
 """
 
 from __future__ import annotations
@@ -20,7 +25,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, count
 from math import factorial
 
 from .errors import InternalCheckError
@@ -39,6 +44,7 @@ class HullFacet:
     normal: tuple[int, ...]  # primitive integer, outward
     offset: int  # <normal, x> == offset on the facet
     weight: Fraction  # Vol_{d-1}(facet) / ||normal||, exact
+    vertices: tuple[int, ...]  # extreme points on the facet, as indices into points
 
 
 @dataclass(frozen=True)
@@ -68,8 +74,8 @@ def hull_int(raw_points, dim: int) -> HullData:
 def _hull_1d(pts) -> HullData:
     lo, hi = pts[0][0], pts[-1][0]
     facets = (
-        HullFacet((-1,), -lo, Fraction(1)),
-        HullFacet((1,), hi, Fraction(1)),
+        HullFacet((-1,), -lo, Fraction(1), (0,)),
+        HullFacet((1,), hi, Fraction(1), (len(pts) - 1,)),
     )
     return HullData(1, tuple(pts), (0, len(pts) - 1), facets, Fraction(hi - lo))
 
@@ -99,7 +105,8 @@ def _hull_2d(pts) -> HullData:
         ex, ey = b[0] - a[0], b[1] - a[1]
         g = gcd_vec((ex, ey))
         z = (ey // g, -ex // g)  # outward for a counterclockwise ring
-        facets.append(HullFacet(z, dot(z, a), Fraction(g)))
+        ends = tuple(sorted((index[a], index[b])))
+        facets.append(HullFacet(z, dot(z, a), Fraction(g), ends))
     facets.sort(key=lambda f: f.normal)
     return HullData(
         2,
@@ -110,13 +117,11 @@ def _hull_2d(pts) -> HullData:
     )
 
 
+@dataclass(slots=True)
 class _F:
-    __slots__ = ("verts", "normal", "offset")
-
-    def __init__(self, verts, normal, offset):
-        self.verts = verts  # ordered so an interior point sees sign -1
-        self.normal = normal  # None when flat at t=0
-        self.offset = offset
+    verts: tuple[int, ...]  # ordered so an interior point sees sign -1
+    normal: tuple[int, ...] | None  # None when flat at t=0
+    offset: int
 
 
 def _build(pts, d, attempt: int) -> HullData:
@@ -151,12 +156,17 @@ def _build(pts, d, attempt: int) -> HullData:
 
     def make_facet(vert_seq) -> _F:
         vs = tuple(vert_seq)
-        if orient(vs, with_centroid=True) > 0:
-            vs = (vs[1], vs[0]) + vs[2:]
         base = pts[vs[0]]
         n = cross_rows([vsub(pts[i], base) for i in vs[1:]])
         if any(n):
-            return _F(vs, n, dot(n, base))
+            # det(rows + [y]) == <n, y> gives the centroid's orientation,
+            # nonzero as it is interior at t=0; a swap negates n and offset
+            offset = dot(n, base)
+            if dot(n, cen_sum) - cen_cnt * offset > 0:
+                return _F((vs[1], vs[0]) + vs[2:], tuple(-x for x in n), -offset)
+            return _F(vs, n, offset)
+        if orient(vs, with_centroid=True) > 0:
+            vs = (vs[1], vs[0]) + vs[2:]
         return _F(vs, None, 0)
 
     def side(f: _F, ip: int) -> int:
@@ -184,43 +194,57 @@ def _build(pts, d, attempt: int) -> HullData:
 
     facets: dict[int, _F] = {}
     ridge_map: dict[frozenset, list[int]] = {}
-    next_id = 0
+    ids = count()
 
     def ridges(verts):
         return [frozenset(verts[:i] + verts[i + 1 :]) for i in range(len(verts))]
 
-    def add_facet(f: _F):
-        nonlocal next_id
-        facets[next_id] = f
+    def add_facet(f: _F) -> int:
+        k = next(ids)
+        facets[k] = f
         for r in ridges(f.verts):
-            ridge_map.setdefault(r, []).append(next_id)
-        next_id += 1
+            ridge_map.setdefault(r, []).append(k)
+        return k
 
-    initset = set(init)
     for omit in range(d + 1):
         add_facet(make_facet(tuple(init[j] for j in range(d + 1) if j != omit)))
 
+    # A point past init[-1] lies outside and sees a facet at the previous
+    # lex-maximum point, i.e. one the previous insertion made. Skipped points
+    # before init[-1] (maybe inside) and the first after it scan all facets.
+    # The visible facets are connected: walk across ridges from the seed;
+    # the horizon is the ridges between a visible and an invisible facet.
+    at_prev = None
     for ip in range(len(pts)):
-        if ip in initset:
+        if ip in init:
             continue
-        visible = [k for k, f in facets.items() if side(f, ip) > 0]
-        if not visible:
+        cands = facets if at_prev is None else at_prev
+        seed = next((k for k in cands if side(facets[k], ip) > 0), None)
+        if seed is None:
+            if ip > init[-1]:
+                raise InternalCheckError("lex-max point sees no facet at previous max")
             continue
-        visset = set(visible)
-        horizon = []
-        for k in visible:
+        seen, stack, horizon = {seed: True}, [seed], []
+        while stack:
+            k = stack.pop()
             for r in ridges(facets[k].verts):
-                if any(o not in visset for o in ridge_map[r]):
+                a, b = ridge_map[r]
+                o = b if a == k else a
+                if o not in seen:
+                    seen[o] = side(facets[o], ip) > 0
+                    if seen[o]:
+                        stack.append(o)
+                if not seen[o]:
                     horizon.append(r)
-        for k in visible:
+        for k in [k for k, visible in seen.items() if visible]:
             f = facets.pop(k)
             for r in ridges(f.verts):
                 owners = ridge_map[r]
                 owners.remove(k)
                 if not owners:
                     del ridge_map[r]
-        for r in horizon:
-            add_facet(make_facet(tuple(sorted(r)) + (ip,)))
+        new = [add_facet(make_facet(tuple(sorted(r)) + (ip,))) for r in horizon]
+        at_prev = new if ip > init[-1] else None
 
     # exact volume: pyramids from the lexicographically smallest point,
     # one per boundary simplex of each facet's triangulation
@@ -242,6 +266,15 @@ def _build(pts, d, attempt: int) -> HullData:
         key = (primitive(f.normal), f.offset // g)
         groups.setdefault(key, []).append(f.verts)
 
+    # a group's points lie on its facet and include its extreme points; a
+    # point is a vertex exactly when the normals of its groups span R^d
+    on_facet = {key: {i for verts in sl for i in verts} for key, sl in groups.items()}
+    normals_at: dict[int, list] = {}
+    for (z, _), idxs in on_facet.items():
+        for i in idxs:
+            normals_at.setdefault(i, []).append(z)
+    vertex = {i for i, zs in normals_at.items() if len(zs) >= d and rank(zs) == d}
+
     out = []
     for (z, c), simplex_list in groups.items():
         k = max(range(d), key=lambda i: abs(z[i]))
@@ -253,16 +286,8 @@ def _build(pts, d, attempt: int) -> HullData:
                 for i in verts[1:]
             ]
             area += abs(det(rows))
-        out.append(HullFacet(z, c, Fraction(area, factorial(d - 1) * abs(z[k]))))
+        weight = Fraction(area, factorial(d - 1) * abs(z[k]))
+        out.append(HullFacet(z, c, weight, tuple(sorted(on_facet[z, c] & vertex))))
     out.sort(key=lambda f: f.normal)
 
-    # a point is a vertex exactly when its incident facet normals span R^d
-    boundary = sorted({i for f in facets.values() for i in f.verts})
-    verts = []
-    for i in boundary:
-        p = pts[i]
-        normals = [z for (z, c) in groups if dot(z, p) == c]
-        if len(normals) >= d and rank(normals) == d:
-            verts.append(i)
-
-    return HullData(d, tuple(pts), tuple(verts), tuple(out), volume)
+    return HullData(d, tuple(pts), tuple(sorted(vertex)), tuple(out), volume)

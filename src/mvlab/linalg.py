@@ -8,7 +8,7 @@ explicitly so the hull engine's hot loops stay cheap.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, isqrt
+from math import gcd, isqrt, lcm
 
 
 def dot(a, b):
@@ -30,7 +30,18 @@ def det(rows) -> int | Fraction:
     if n == 3:
         (a, b, c), (d, e, f), (g, h, i) = rows
         return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
-    # cofactor expansion along the first row, for n = 4 and 5
+    if n == 4:
+        # Laplace expansion: 2x2 minors of rows 0-1 times their complements
+        (a, b, c, d), (e, f, g, h), (i, j, k, l), (m, o, p, q) = rows
+        return (
+            (a * f - b * e) * (k * q - l * p)
+            - (a * g - c * e) * (j * q - l * o)
+            + (a * h - d * e) * (j * p - k * o)
+            + (b * g - c * f) * (i * q - l * m)
+            - (b * h - d * f) * (i * p - k * m)
+            + (c * h - d * g) * (i * o - j * m)
+        )
+    # cofactor expansion along the first row, for n = 5
     total = 0
     sign = 1
     rest = rows[1:]
@@ -81,12 +92,19 @@ def primitive_from_rational(v):
     return primitive(ints)
 
 
-def _eliminate(mat, ncols) -> list[int]:
-    """Gauss-Jordan elimination of a Fraction matrix in place, over its first
-    ncols columns, without normalizing pivots. Returns the pivot columns:
-    afterwards row i has its leading entry in column pivots[i] and a zero
-    in every other pivot column."""
+def _eliminate(rows, ncols) -> tuple[list[int], list[list[int]]]:
+    """Fraction-free (Bareiss 1968) Gauss-Jordan elimination over the first
+    ncols columns, after scaling each row to coprime integers, which keeps
+    the row space and keeps differences of denominator-cleared points small.
+    Returns (pivots, rows): row i leads in column pivots[i], every other
+    pivot column is zero in it, and all pivot entries are equal. Each entry
+    stays a minor of the scaled matrix, so every division is exact."""
+    mat = []
+    for row in rows:
+        m = lcm(*(x.denominator for x in row))
+        mat.append(list(primitive([x.numerator * (m // x.denominator) for x in row])))
     pivots: list[int] = []
+    prev = 1
     for c in range(ncols):
         r = len(pivots)
         piv = next((i for i in range(r, len(mat)) if mat[i][c] != 0), None)
@@ -96,51 +114,42 @@ def _eliminate(mat, ncols) -> list[int]:
         row = mat[r]
         p = row[c]
         for i in range(len(mat)):
-            if i != r and mat[i][c] != 0:
-                f = mat[i][c] / p
-                mat[i] = [a - f * b for a, b in zip(mat[i], row)]
+            if i != r:
+                f = mat[i][c]
+                mat[i] = [(p * a - f * b) // prev for a, b in zip(mat[i], row)]
+        prev = p
         pivots.append(c)
         if r + 1 == len(mat):
             break
-    return pivots
+    return pivots, mat
 
 
 def rank(rows) -> int:
-    """Exact rank via Gaussian elimination over Fractions."""
-    mat = [list(map(Fraction, r)) for r in rows]
-    if not mat:
+    """Exact rank of an integer or rational matrix."""
+    if not rows:
         return 0
-    return len(_eliminate(mat, len(mat[0])))
+    return len(_eliminate(rows, len(rows[0]))[0])
 
 
 def rref(rows):
     """Reduced row echelon form. Returns (pivot column indices, rows)."""
-    mat = [list(map(Fraction, r)) for r in rows]
-    if not mat:
+    if not rows:
         return [], []
-    pivots = _eliminate(mat, len(mat[0]))
-    return pivots, [tuple(a / row[c] for a in row) for row, c in zip(mat, pivots)]
+    pivots, mat = _eliminate(rows, len(rows[0]))
+    return pivots, [tuple(Fraction(a, r[c]) for a in r) for r, c in zip(mat, pivots)]
 
 
 def solve(a_rows, b):
     """Solve a square rational system exactly; None when singular."""
     n = len(a_rows)
-    mat = [list(map(Fraction, row)) + [Fraction(b[i])] for i, row in enumerate(a_rows)]
-    if len(_eliminate(mat, n)) < n:
+    pivots, mat = _eliminate([list(row) + [b[i]] for i, row in enumerate(a_rows)], n)
+    if len(pivots) < n:
         return None
-    return tuple(row[n] / row[i] for i, row in enumerate(mat))
-
-
-def lcm(a: int, b: int) -> int:
-    return a * b // gcd(a, b)
+    return tuple(Fraction(row[n], row[i]) for i, row in enumerate(mat))
 
 
 def common_denominator(points) -> int:
-    m = 1
-    for p in points:
-        for x in p:
-            m = lcm(m, Fraction(x).denominator)
-    return m
+    return lcm(*(Fraction(x).denominator for p in points for x in p))
 
 
 def scale_to_int(points):

@@ -1,0 +1,144 @@
+"""Hull engine: pinned outputs, facet incidence, insertion-order paths."""
+
+import hashlib
+from fractions import Fraction as F
+from itertools import product
+
+from hypothesis import given, strategies as st
+
+from mvlab.generators import cross_polytope, cube, generate
+from mvlab.geometry import convex_hull, dilate, minkowski_sum, translate
+from mvlab.linalg import dot
+
+
+def _digest(P):
+    text = repr((P.vertices, P.facets, P.volume))
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+def _image(rows, pts):
+    return [tuple(dot(r, p) for r in rows) for p in pts]
+
+
+def _box(sides):
+    return list(product(*(range(s + 1) for s in sides)))
+
+
+# unimodular maps: integer matrices of determinant +-1
+_U3 = ((1, 2, 0), (0, 1, 3), (1, 2, 1))
+_U4 = ((1, 1, 0, 2), (0, 1, 2, 0), (0, 0, 1, -1), (1, 1, 0, 1))
+
+
+def _sum_case(n, k):
+    return lambda: minkowski_sum(cube(n), dilate(cross_polytope(n), F(1, k)))
+
+
+def _lower(pts, n):
+    return lambda: convex_hull(pts, n, allow_lower=True)
+
+
+# every lattice point of each box, so the facets carry many coplanar points
+CASES = {
+    "cube3+cross3/2": _sum_case(3, 2),
+    "cube3+cross3/3": _sum_case(3, 3),
+    "cube4+cross4/2": _sum_case(4, 2),
+    "cube4+cross4/3": _sum_case(4, 3),
+    "U3.box(2,1,3)": lambda: convex_hull(_image(_U3, _box((2, 1, 3))), 3),
+    "U4.box(2,1,1,2)": lambda: convex_hull(_image(_U4, _box((2, 1, 1, 2))), 4),
+    "U4.box(1,1,1,1)/3": lambda: convex_hull(
+        [tuple(F(x, 3) for x in p) for p in _image(_U4, _box((1, 1, 1, 1)))], 4
+    ),
+    "plane.d3": _lower(
+        [(F(x, 2), F(y, 3), 1 - F(x, 2) - F(y, 3)) for x in range(4) for y in range(3)],
+        3,
+    ),
+    "line.d4": _lower([(k, 2 * k, -k, F(k, 5)) for k in range(-3, 4)], 4),
+    "plane.d4": _lower(_image(_U4, [p + (0, 0) for p in _box((2, 2))]), 4),
+    "3flat.d4": _lower(_image(_U4, [p + (0,) for p in _box((2, 1, 2))]), 4),
+    "regular_polygon:64,1000000": lambda: generate("regular_polygon", [64, 1000000]),
+    # edge midpoints of 2*cross(4) lie on four facets whose normals have rank 3
+    "lattice(2*cross4)": lambda: convex_hull(
+        [p for p in product(range(-2, 3), repeat=4) if sum(map(abs, p)) <= 2], 4
+    ),
+}
+
+# digests of (vertices, facets, volume), computed before the hull engine
+# took its incidence from the boundary simplices and walked visible facets
+PINNED = {
+    "cube3+cross3/2": "10446eca3b711131",
+    "cube3+cross3/3": "af5cc12b748c2f4f",
+    "cube4+cross4/2": "b8e1b22e66df3c1c",
+    "cube4+cross4/3": "e995e9745c267dde",
+    "U3.box(2,1,3)": "7f282e2c3395ef8c",
+    "U4.box(2,1,1,2)": "77e36d63fc6cf28e",
+    "U4.box(1,1,1,1)/3": "f4eaa9a973854882",
+    "plane.d3": "2854b6183e2a987a",
+    "line.d4": "6d2d84aaa39798c0",
+    "plane.d4": "93b461084dbb8e67",
+    "3flat.d4": "a5e6c5e6817c5d2a",
+    "regular_polygon:64,1000000": "2620809de7d4974e",
+    "lattice(2*cross4)": "f3c2001ca6926d6b",
+}
+
+
+def test_pinned_digests():
+    got = {name: _digest(build()) for name, build in CASES.items()}
+    assert got == PINNED
+
+
+coord = st.integers(min_value=-3, max_value=3)
+
+
+@st.composite
+def clouds(draw):
+    n = draw(st.integers(min_value=2, max_value=4))
+    size = {"min_size": n + 1, "max_size": 3 * n + 6}
+    pts = draw(st.lists(st.tuples(*[coord] * n), **size))
+    den = draw(st.integers(min_value=1, max_value=3))
+    return n, [tuple(F(x, den) for x in p) for p in pts]
+
+
+@given(clouds())
+def test_facet_incidence_matches_scan(cloud):
+    n, pts = cloud
+    P = convex_hull(pts, n, allow_lower=True)
+    for f in P.facets:
+        on = tuple(i for i, v in enumerate(P.vertices) if dot(f.normal, v) == f.offset)
+        assert f.vertices == on
+
+
+def _mapped(P, perm):
+    """P's vertices, facets and volume as sets, with coordinates permuted."""
+
+    def move(v):
+        return tuple(v[i] for i in perm)
+
+    facets = {
+        (move(f.normal), f.offset, frozenset(move(P.vertices[j]) for j in f.vertices),
+         f.normalized_volume)
+        for f in P.facets
+    }
+    return {move(v) for v in P.vertices}, facets, P.volume
+
+
+def test_points_before_initial_simplex():
+    # the first lex points are collinear (and in the first cloud (0, 2, 3)
+    # is coplanar with the first three chosen), so those points are inserted
+    # after the initial simplex, out of lex order; the second cloud's first
+    # point after the initial simplex sees no facet the skipped point made.
+    # Reversing the coordinates changes the insertion order, and translating
+    # changes no hull at all.
+    clouds = [
+        [(0, 0, k) for k in range(5)]
+        + [(0, 1, 0), (0, 2, 3), (1, 0, 0), (1, 1, 1), (2, -1, 2), (1, 1, 4)],
+        [(0, 0, 0), (0, 0, 1), (0, 0, 2), (2, 1, 3), (2, 2, 0), (3, 2, 0)],
+    ]
+    for base in clouds:
+        P = convex_hull(base, 3)
+        flipped = convex_hull([p[::-1] for p in base], 3)
+        assert _mapped(P, (0, 1, 2)) == _mapped(flipped, (2, 1, 0))
+        shift = (F(1, 2), 3, -1)
+        Q = convex_hull([tuple(a + b for a, b in zip(p, shift)) for p in base], 3)
+        assert translate(P, shift) == Q
+        assert translate(P, shift).facets == Q.facets
+        assert (0, 0, 1) not in P.vertices and (0, 0, 0) in P.vertices

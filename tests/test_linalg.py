@@ -120,3 +120,90 @@ def test_perfect_nth_root_large():
 @given(st.integers(min_value=0, max_value=10**12), st.integers(min_value=2, max_value=4))
 def test_perfect_nth_root_roundtrip(m, k):
     assert perfect_nth_root(Fraction(m**k), k) == m
+
+
+def _reference_rref(rows):
+    """Plain Gauss-Jordan over Fractions with normalized pivots."""
+    mat = [[Fraction(x) for x in r] for r in rows]
+    pivots = []
+    for c in range(len(mat[0]) if mat else 0):
+        r = len(pivots)
+        piv = next((i for i in range(r, len(mat)) if mat[i][c] != 0), None)
+        if piv is None:
+            continue
+        mat[r], mat[piv] = mat[piv], mat[r]
+        mat[r] = [x / mat[r][c] for x in mat[r]]
+        for i in range(len(mat)):
+            if i != r and mat[i][c] != 0:
+                f = mat[i][c]
+                mat[i] = [a - f * b for a, b in zip(mat[i], mat[r])]
+        pivots.append(c)
+    return pivots, [tuple(r) for r in mat[: len(pivots)]]
+
+
+def _cofactor_det(rows):
+    if len(rows) == 1:
+        return rows[0][0]
+    return sum(
+        (-1) ** c * rows[0][c] * _cofactor_det([r[:c] + r[c + 1 :] for r in rows[1:]])
+        for c in range(len(rows))
+    )
+
+
+@st.composite
+def deficient_matrices(draw):
+    """Integer or rational matrices, wide, tall or square, with zero rows,
+    repeated rows and rows combined from others mixed in."""
+    nrows = draw(st.integers(min_value=1, max_value=6))
+    ncols = draw(st.integers(min_value=1, max_value=6))
+    entry = frac if draw(st.booleans()) else st.integers(min_value=-5, max_value=5)
+    rows = []
+    for _ in range(nrows):
+        kind = draw(st.sampled_from(["new", "zero", "repeat", "combine"]))
+        if kind == "zero" or (kind != "new" and not rows):
+            rows.append([0] * ncols)
+        elif kind == "repeat":
+            rows.append(list(draw(st.sampled_from(rows))))
+        elif kind == "combine":
+            a, b = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
+            k = draw(frac)
+            rows.append([x + k * y for x, y in zip(a, b)])
+        else:
+            rows.append(draw(st.lists(entry, min_size=ncols, max_size=ncols)))
+    return rows
+
+
+@given(deficient_matrices())
+def test_fraction_free_rank_rref_match_reference(rows):
+    ref_pivots, ref_rows = _reference_rref(rows)
+    assert rank(rows) == len(ref_pivots)
+    pivots, got = rref(rows)
+    assert pivots == ref_pivots
+    assert got == ref_rows
+    assert all(type(x) is Fraction for r in got for x in r)
+
+
+def test_rank_rref_edge_shapes():
+    assert rank([[0, 0, 0], [0, 0, 0]]) == 0
+    assert rref([[0, 0], [0, 0]]) == ([], [])
+    assert rank([[1, 2, 3], [1, 2, 3], [2, 4, 6]]) == 1
+    assert rank([[Fraction(1, 3)], [Fraction(2, 3)], [0]]) == 1
+    assert rref([[0, Fraction(1, 2), 1], [0, 1, 2]]) == ([1], [(0, 1, 2)])
+
+
+@given(st.lists(st.lists(frac, min_size=3, max_size=3), min_size=3, max_size=3),
+       st.lists(frac, min_size=3, max_size=3))
+def test_solve_matches_reference(a, b):
+    pivots, rows = _reference_rref([row + [y] for row, y in zip(a, b)])
+    got = solve(a, b)
+    if pivots[:3] != [0, 1, 2]:
+        assert got is None
+    else:
+        assert got == tuple(r[3] for r in rows)
+        assert all(type(x) is Fraction for x in got)
+
+
+@given(st.lists(st.lists(st.one_of(frac, st.integers(-9, 9)), min_size=4, max_size=4),
+                min_size=4, max_size=4))
+def test_det_4x4_closed_form(rows):
+    assert det(rows) == _cofactor_det(rows)
