@@ -1,42 +1,45 @@
 """Convex hull engine on integer coordinates, exact in all dimensions up to 4.
 
-The 3D/4D path is an incremental (beneath-beyond) construction run on a
-symbolically perturbed copy of the input: point i is displaced by t*r_i for
-a seeded integer vector r_i and an infinitesimal t > 0. Every predicate is
-the sign of det(M + tR) as t -> 0+, computed exactly as the first nonzero
-coefficient of the expansion, so coplanar vertices and other degeneracies
-never require epsilon tolerances. The perturbed hull is simplicial; its
-boundary simplices are merged back into true facets by their unperturbed
-supporting hyperplane, and simplices that are flat at t=0 contribute zero
-to every volume and facet weight, so all reported quantities are exact for
-the unperturbed input.
+The 3D/4D path is an incremental (beneath-beyond) construction that keeps a
+triangulation of the hull's boundary into (d-1)-simplices. Points are
+deduplicated and sorted; the first d+1 affinely independent ones form the
+initial simplex, then the skipped ones and the rest follow in lex order. A
+simplex is visible from p when p lies strictly beyond its hyperplane, and
+inserting p replaces the visible simplices by cones from p over the horizon
+ridges. So the boundary stays a placing triangulation (De Loera, Rambau &
+Santos, *Triangulations*, 2010, section 4.3.1), and every predicate is one
+exact integer sign:
 
-Points are deduplicated, sorted and inserted in lexicographic order, so
-each one after the initial simplex is outside the hull and sees a facet at
-the previous lex maximum. An insertion searches those facets for a visible
-seed and walks across ridges through the visible ones to the horizon; it
-never scans the whole hull. Each output facet lists its extreme points,
-taken from the boundary simplices merged into it, and a point is a vertex
-exactly when the normals of its facets span R^d.
+(a) A horizon ridge r lies in aff(G) for a visible G, and p is not in
+    aff(G), so conv(r + p) is never flat.
+(b) A point after the initial simplex is the lex maximum so far. The tangent
+    cone at the previous maximum q is spanned by lex-negative vectors, and
+    the lex-positive p - q leaves it, so some simplex at q, i.e. one that
+    q's insertion made, is visible.
+(c) A skipped point lies in the flat F spanned by the initial points before
+    it. F meets the hull so far in a face whose points all precede p in lex
+    order, so p lies outside that face and the hull: like every other
+    point, it sees a simplex, and no point is dropped.
+(d) The visible simplices are those of the visible true facets, which form
+    a ball, so a walk across ridges from one of them reaches them all.
+
+Each simplex lies in a true facet, so simplices merge into facets by their
+hyperplane. With n = cross_rows(edge vectors), det(rows + [y]) == <n, y>:
+the pyramid over a simplex from points[0] is (offset - <n, points[0]>)/d!,
+and the simplex adds gcd(n)/(d-1)! to its facet's weight Vol_{d-1}/||z||,
+z = n/gcd(n). A facet lists the extreme points of its simplices; a point
+is a vertex exactly when the normals of its facets span R^d.
 """
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, count
+from itertools import count
 from math import factorial
 
 from .errors import InternalCheckError
-from .linalg import cross_rows, det, dot, gcd_vec, primitive, rank, vsub
-
-_ATTEMPTS = 32
-_PERTURB_BOUND = 1 << 30
-
-
-class _PerturbationCollision(Exception):
-    """The seeded perturbation failed to break a degeneracy; retry."""
+from .linalg import cross_rows, dot, gcd_vec, rank, vsub
 
 
 @dataclass(frozen=True)
@@ -63,12 +66,7 @@ def hull_int(raw_points, dim: int) -> HullData:
         return _hull_1d(pts)
     if dim == 2:
         return _hull_2d(pts)
-    for attempt in range(_ATTEMPTS):
-        try:
-            return _build(pts, dim, attempt)
-        except _PerturbationCollision:
-            continue
-    raise InternalCheckError("hull perturbation kept colliding; input suspect")
+    return _build(pts, dim)
 
 
 def _hull_1d(pts) -> HullData:
@@ -119,63 +117,12 @@ def _hull_2d(pts) -> HullData:
 
 @dataclass(slots=True)
 class _F:
-    verts: tuple[int, ...]  # ordered so an interior point sees sign -1
-    normal: tuple[int, ...] | None  # None when flat at t=0
+    verts: tuple[int, ...]
+    normal: tuple[int, ...]  # outward, nonzero
     offset: int
 
 
-def _build(pts, d, attempt: int) -> HullData:
-    rng = random.Random(f"mvlab-hull:{d}:{attempt}:{len(pts)}")
-    perturb = [
-        tuple(rng.randrange(-_PERTURB_BOUND, _PERTURB_BOUND) for _ in range(d))
-        for _ in pts
-    ]
-    cen_sum: tuple[int, ...] = ()
-    cen_cnt = 0
-
-    def orient(idxs, with_centroid=False) -> int:
-        i0 = idxs[0]
-        p0, r0 = pts[i0], perturb[i0]
-        mrows = [vsub(pts[i], p0) for i in idxs[1:]]
-        rrows = [vsub(perturb[i], r0) for i in idxs[1:]]
-        if with_centroid:
-            mrows.append(tuple(s - cen_cnt * x for s, x in zip(cen_sum, p0)))
-            rrows.append(tuple(-cen_cnt * x for x in r0))
-        c0 = det(mrows)
-        if c0:
-            return 1 if c0 > 0 else -1
-        k = len(mrows)
-        for deg in range(1, k + 1):
-            coeff = 0
-            for chosen in combinations(range(k), deg):
-                rows = [rrows[i] if i in chosen else mrows[i] for i in range(k)]
-                coeff += det(rows)
-            if coeff:
-                return 1 if coeff > 0 else -1
-        raise _PerturbationCollision
-
-    def make_facet(vert_seq) -> _F:
-        vs = tuple(vert_seq)
-        base = pts[vs[0]]
-        n = cross_rows([vsub(pts[i], base) for i in vs[1:]])
-        if any(n):
-            # det(rows + [y]) == <n, y> gives the centroid's orientation,
-            # nonzero as it is interior at t=0; a swap negates n and offset
-            offset = dot(n, base)
-            if dot(n, cen_sum) - cen_cnt * offset > 0:
-                return _F((vs[1], vs[0]) + vs[2:], tuple(-x for x in n), -offset)
-            return _F(vs, n, offset)
-        if orient(vs, with_centroid=True) > 0:
-            vs = (vs[1], vs[0]) + vs[2:]
-        return _F(vs, None, 0)
-
-    def side(f: _F, ip: int) -> int:
-        if f.normal is not None:
-            s = dot(f.normal, pts[ip]) - f.offset
-            if s:
-                return 1 if s > 0 else -1
-        return orient(f.verts + (ip,))
-
+def _build(pts, d) -> HullData:
     # initial simplex: first d+1 affinely independent points in lex order
     init = [0]
     dirs: list[tuple[int, ...]] = []
@@ -191,6 +138,20 @@ def _build(pts, d, attempt: int) -> HullData:
 
     cen_sum = tuple(sum(pts[i][k] for i in init) for k in range(d))
     cen_cnt = d + 1
+
+    def make_facet(verts) -> _F:
+        base = pts[verts[0]]
+        n = cross_rows([vsub(pts[i], base) for i in verts[1:]])
+        if not any(n):
+            raise InternalCheckError("flat boundary simplex")
+        # the centroid of the initial simplex stays strictly inside
+        offset = dot(n, base)
+        if dot(n, cen_sum) - cen_cnt * offset > 0:
+            return _F(verts, tuple(-x for x in n), -offset)
+        return _F(verts, n, offset)
+
+    def beyond(f: _F, ip: int) -> bool:
+        return dot(f.normal, pts[ip]) > f.offset
 
     facets: dict[int, _F] = {}
     ridge_map: dict[frozenset, list[int]] = {}
@@ -209,21 +170,19 @@ def _build(pts, d, attempt: int) -> HullData:
     for omit in range(d + 1):
         add_facet(make_facet(tuple(init[j] for j in range(d + 1) if j != omit)))
 
-    # A point past init[-1] lies outside and sees a facet at the previous
-    # lex-maximum point, i.e. one the previous insertion made. Skipped points
-    # before init[-1] (maybe inside) and the first after it scan all facets.
-    # The visible facets are connected: walk across ridges from the seed;
-    # the horizon is the ridges between a visible and an invisible facet.
+    # Every point sees a facet (facts b, c). A point past init[-1] sees one
+    # the previous insertion made; skipped points before init[-1] and the
+    # first point after it scan all facets. The visible facets are connected
+    # (fact d): walk across ridges from the seed; the horizon is the ridges
+    # between a visible and an invisible facet.
     at_prev = None
     for ip in range(len(pts)):
         if ip in init:
             continue
         cands = facets if at_prev is None else at_prev
-        seed = next((k for k in cands if side(facets[k], ip) > 0), None)
+        seed = next((k for k in cands if beyond(facets[k], ip)), None)
         if seed is None:
-            if ip > init[-1]:
-                raise InternalCheckError("lex-max point sees no facet at previous max")
-            continue
+            raise InternalCheckError("inserted point sees no facet")
         seen, stack, horizon = {seed: True}, [seed], []
         while stack:
             k = stack.pop()
@@ -231,7 +190,7 @@ def _build(pts, d, attempt: int) -> HullData:
                 a, b = ridge_map[r]
                 o = b if a == k else a
                 if o not in seen:
-                    seen[o] = side(facets[o], ip) > 0
+                    seen[o] = beyond(facets[o], ip)
                     if seen[o]:
                         stack.append(o)
                 if not seen[o]:
@@ -243,32 +202,23 @@ def _build(pts, d, attempt: int) -> HullData:
                 owners.remove(k)
                 if not owners:
                     del ridge_map[r]
-        new = [add_facet(make_facet(tuple(sorted(r)) + (ip,))) for r in horizon]
+        new = [add_facet(make_facet(tuple(r) + (ip,))) for r in horizon]
         at_prev = new if ip > init[-1] else None
 
-    # exact volume: pyramids from the lexicographically smallest point,
-    # one per boundary simplex of each facet's triangulation
+    # merge boundary simplices into true facets by supporting hyperplane;
+    # each simplex adds its pyramid from pts[0] and its share of the weight
     apex = pts[0]
     vol_scaled = 0
-    for f in facets.values():
-        base = pts[f.verts[0]]
-        rows = [vsub(pts[i], base) for i in f.verts[1:]]
-        rows.append(vsub(apex, base))
-        vol_scaled += abs(det(rows))
-    volume = Fraction(vol_scaled, factorial(d))
-
-    # merge boundary simplices into true facets by supporting hyperplane
     groups: dict[tuple[tuple[int, ...], int], list] = {}
     for f in facets.values():
-        if f.normal is None:
-            continue  # flat at t=0: zero measure, no facet contribution
+        vol_scaled += f.offset - dot(f.normal, apex)
         g = gcd_vec(f.normal)
-        key = (primitive(f.normal), f.offset // g)
-        groups.setdefault(key, []).append(f.verts)
+        key = (tuple(x // g for x in f.normal), f.offset // g)
+        groups.setdefault(key, []).append((f.verts, g))
 
     # a group's points lie on its facet and include its extreme points; a
     # point is a vertex exactly when the normals of its groups span R^d
-    on_facet = {key: {i for verts in sl for i in verts} for key, sl in groups.items()}
+    on_facet = {key: {i for verts, _ in sl for i in verts} for key, sl in groups.items()}
     normals_at: dict[int, list] = {}
     for (z, _), idxs in on_facet.items():
         for i in idxs:
@@ -277,17 +227,9 @@ def _build(pts, d, attempt: int) -> HullData:
 
     out = []
     for (z, c), simplex_list in groups.items():
-        k = max(range(d), key=lambda i: abs(z[i]))
-        area = 0
-        for verts in simplex_list:
-            base = pts[verts[0]]
-            rows = [
-                tuple(x for j, x in enumerate(vsub(pts[i], base)) if j != k)
-                for i in verts[1:]
-            ]
-            area += abs(det(rows))
-        weight = Fraction(area, factorial(d - 1) * abs(z[k]))
+        weight = Fraction(sum(g for _, g in simplex_list), factorial(d - 1))
         out.append(HullFacet(z, c, weight, tuple(sorted(on_facet[z, c] & vertex))))
     out.sort(key=lambda f: f.normal)
 
+    volume = Fraction(vol_scaled, factorial(d))
     return HullData(d, tuple(pts), tuple(sorted(vertex)), tuple(out), volume)

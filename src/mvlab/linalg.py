@@ -1,8 +1,9 @@
 """Exact linear algebra over integers and fractions.
 
-Everything here is tuned for the tiny dense systems this package needs
-(dimension at most 5). Determinants of integer matrices are expanded
-explicitly so the hull engine's hot loops stay cheap.
+Everything here is tuned for the tiny dense systems this package needs.
+Determinants up to 3x3, which is all cross_rows needs for the hull
+engine's normals in R^4, are expanded explicitly; larger ones fall back to
+cofactor expansion.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ def vsub(a, b):
 
 
 def det(rows) -> int | Fraction:
-    """Determinant of a small square matrix (size 1 to 5), exact."""
+    """Determinant of a small square matrix, exact."""
     n = len(rows)
     if n == 1:
         return rows[0][0]
@@ -30,18 +31,7 @@ def det(rows) -> int | Fraction:
     if n == 3:
         (a, b, c), (d, e, f), (g, h, i) = rows
         return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
-    if n == 4:
-        # Laplace expansion: 2x2 minors of rows 0-1 times their complements
-        (a, b, c, d), (e, f, g, h), (i, j, k, l), (m, o, p, q) = rows
-        return (
-            (a * f - b * e) * (k * q - l * p)
-            - (a * g - c * e) * (j * q - l * o)
-            + (a * h - d * e) * (j * p - k * o)
-            + (b * g - c * f) * (i * q - l * m)
-            - (b * h - d * f) * (i * p - k * m)
-            + (c * h - d * g) * (i * o - j * m)
-        )
-    # cofactor expansion along the first row, for n = 5
+    # cofactor expansion along the first row
     total = 0
     sign = 1
     rest = rows[1:]

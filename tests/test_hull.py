@@ -1,14 +1,15 @@
-"""Hull engine: pinned outputs, facet incidence, insertion-order paths."""
+"""Hull engine: pinned outputs, a brute-force facet oracle, facet incidence,
+insertion-order paths."""
 
 import hashlib
 from fractions import Fraction as F
-from itertools import product
+from itertools import combinations, product
 
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from mvlab.generators import cross_polytope, cube, generate
 from mvlab.geometry import convex_hull, dilate, minkowski_sum, translate
-from mvlab.linalg import dot
+from mvlab.linalg import cross_rows, dot, primitive_from_rational, rank, vsub
 
 
 def _digest(P):
@@ -121,19 +122,104 @@ def _mapped(P, perm):
     return {move(v) for v in P.vertices}, facets, P.volume
 
 
+unit = st.integers(min_value=-1, max_value=1)
+
+
+@st.composite
+def full_clouds(draw):
+    """Full-dimensional 3D/4D clouds: points of the {-1,0,1}^d lattice,
+    rationals with denominator at most 2, or lattice points after a
+    collinear lex prefix, so that ties and skipped points are common."""
+    d = draw(st.integers(min_value=3, max_value=4))
+    kind = draw(st.sampled_from(["lattice", "half", "prefix"]))
+    size = {"min_size": d + 1, "max_size": 2 * d + 4}
+    if kind == "half":
+        x = st.builds(F, st.integers(min_value=-2, max_value=2), st.integers(1, 2))
+        pts = draw(st.lists(st.tuples(*[x] * d), **size))
+    else:
+        pts = draw(st.lists(st.tuples(*[unit] * d), **size))
+    if kind == "prefix":
+        w = draw(st.tuples(*[unit] * (d - 1)).filter(any))
+        k = draw(st.integers(min_value=2, max_value=4))
+        pts += [(-2,) + tuple(t * x for x in w) for t in range(k)]
+    pts = sorted(set(pts))
+    assume(rank([vsub(p, pts[0]) for p in pts[1:]]) == d)
+    return d, pts
+
+
+def _brute_force(pts, d):
+    """Facet hyperplanes (z, c), <z, x> <= c on every point, found over all
+    d-point subsets, and the points at which their normals have rank d."""
+    planes = set()
+    for sub in combinations(pts, d):
+        n = cross_rows([vsub(p, sub[0]) for p in sub[1:]])
+        if not any(n):
+            continue
+        z = primitive_from_rational(n)
+        c = dot(z, sub[0])
+        values = [dot(z, p) for p in pts]
+        if max(values) == c:
+            planes.add((z, c))
+        if min(values) == c:
+            planes.add((tuple(-x for x in z), -c))
+    vertices = {
+        p for p in pts if rank([z for z, c in planes if dot(z, p) == c]) == d
+    }
+    return planes, vertices
+
+
+@settings(max_examples=80)
+@given(full_clouds())
+def test_hull_matches_brute_force(cloud):
+    d, pts = cloud
+    P = convex_hull(pts, d)
+    planes, vertices = _brute_force(pts, d)
+    assert {(f.normal, f.offset) for f in P.facets} == planes
+    assert set(P.vertices) == vertices
+    assert P.volume == sum(f.offset * f.normalized_volume for f in P.facets) / d
+    assert all(f.normalized_volume > 0 for f in P.facets)
+
+
+@settings(max_examples=80)
+@given(full_clouds(), st.data())
+def test_coordinate_permutation_invariance(cloud, data):
+    # permuting coordinates changes the lex order, hence the insertion order
+    d, pts = cloud
+    perm = data.draw(st.permutations(range(d)))
+    P = convex_hull(pts, d)
+    Q = convex_hull([tuple(p[i] for i in perm) for p in pts], d)
+    assert _mapped(P, perm) == _mapped(Q, range(d))
+
+
 def test_points_before_initial_simplex():
     # the first lex points are collinear (and in the first cloud (0, 2, 3)
     # is coplanar with the first three chosen), so those points are inserted
     # after the initial simplex, out of lex order; the second cloud's first
     # point after the initial simplex sees no facet the skipped point made.
+    # In the third, the skipped (0, 2, 0) lies in the plane of an initial
+    # facet but outside it, and leaves the initial (0, 1, 1) on an edge. In
+    # the fourth, the skipped (0, 1, 0) ends in the relative interior of the
+    # facet x = 0 once the skipped (0, 2, 0) is in. Each skipped point is
+    # strictly beyond some facet when it is inserted, so none is dropped.
     # Reversing the coordinates changes the insertion order, and translating
-    # changes no hull at all.
+    # changes no hull at all. The expected hulls were computed with the
+    # symbolically perturbed engine.
     clouds = [
-        [(0, 0, k) for k in range(5)]
-        + [(0, 1, 0), (0, 2, 3), (1, 0, 0), (1, 1, 1), (2, -1, 2), (1, 1, 4)],
-        [(0, 0, 0), (0, 0, 1), (0, 0, 2), (2, 1, 3), (2, 2, 0), (3, 2, 0)],
+        ([(0, 0, k) for k in range(5)]
+         + [(0, 1, 0), (0, 2, 3), (1, 0, 0), (1, 1, 1), (2, -1, 2), (1, 1, 4)],
+         (0, 0, 1), None),
+        ([(0, 0, 0), (0, 0, 1), (0, 0, 2), (2, 1, 3), (2, 2, 0), (3, 2, 0)],
+         (0, 0, 1), None),
+        ([(0, 0, 0), (0, 0, 2), (0, 1, 1), (0, 2, 0), (1, 0, 0), (1, 2, 1)],
+         (0, 1, 1),
+         ({(0, 0, 0), (0, 0, 2), (0, 2, 0), (1, 0, 0), (1, 2, 1)}, F(5, 3), 6)),
+        ([(0, 0, 0), (0, 0, 1), (0, 1, -2), (0, 1, 0), (0, 2, 0), (1, 0, 0),
+          (1, 1, 1), (2, 0, -1)],
+         (0, 1, 0),
+         ({(0, 0, 0), (0, 0, 1), (0, 1, -2), (0, 2, 0), (1, 1, 1), (2, 0, -1)},
+          F(3), 7)),
     ]
-    for base in clouds:
+    for base, inner, expected in clouds:
         P = convex_hull(base, 3)
         flipped = convex_hull([p[::-1] for p in base], 3)
         assert _mapped(P, (0, 1, 2)) == _mapped(flipped, (2, 1, 0))
@@ -141,4 +227,6 @@ def test_points_before_initial_simplex():
         Q = convex_hull([tuple(a + b for a, b in zip(p, shift)) for p in base], 3)
         assert translate(P, shift) == Q
         assert translate(P, shift).facets == Q.facets
-        assert (0, 0, 1) not in P.vertices and (0, 0, 0) in P.vertices
+        assert inner not in P.vertices and (0, 0, 0) in P.vertices
+        if expected is not None:
+            assert (set(P.vertices), P.volume, len(P.facets)) == expected
