@@ -7,7 +7,8 @@ exactly when K is a simplex. This module provides the gap evaluators, the
 facet-moving deformation K_{t,i} with a certified safe range, cap cuts,
 measure-proportionality and homothety tests, a measure-power identity
 checker, the per-facet simplex audit, and a deterministic counterexample
-search.
+search in three stages: segment pairs along edge directions, pairs of
+facet-moved copies of K, and seeded random hull pairs.
 
 Every mixed volume here goes through mixed._mixed_volume_fast, which takes
 exact shortcuts and falls back to polarization; its values equal public
@@ -24,6 +25,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations, count
 from typing import NamedTuple, Optional
 
 from .errors import (
@@ -115,11 +117,7 @@ def bezout_gap(L: Polytope, M: Polytope, K: Polytope) -> BezoutCertificate:
         raise DimensionMismatch("L, M, K must share the ambient dimension")
     if not K.is_full_dimensional:
         raise DegenerateInput("K must be full-dimensional")
-    base = [K] * (n - 2)
-    vLK = _mixed_volume_fast([L] + [K] * (n - 1))
-    vMK = _mixed_volume_fast([M] + [K] * (n - 1))
-    vLMK = _mixed_volume_fast([L, M] + base)
-    gap = vLK * vMK - vLMK * K.volume
+    gap = bezout_gap_general([L, M], K, 2)
     return BezoutCertificate(
         L, M, K, gap, "satisfied" if gap >= 0 else "violated", gap == 0
     )
@@ -381,12 +379,6 @@ def simplex_audit(K: Polytope) -> AuditReport:
     return AuditReport(tuple(records), verdict, len(K.vertices))
 
 
-def _segment(a, b, dim: int) -> Polytope:
-    pa = tuple(Fraction(c) for c in a)
-    pb = tuple(Fraction(c) for c in b)
-    return _from_points([pa, pb], dim)
-
-
 def _canon_direction(d):
     d = primitive_from_rational(d)
     for c in d:
@@ -404,11 +396,23 @@ def counterexample_search(K: Polytope, budget: int) -> BezoutCertificate:
     """Deterministic staged search for (L, M) with negative gap against K.
 
     Stages: (a) pairs of segments along K's edge directions; (b) pairs of
-    facet-moved copies of K at half the safe ranges; (c) (axis segment,
-    cap cut) pairs where the cap drops support on some facet normal and
-    the axis projection is preserved; (d) seeded random hull pairs.
-    Raises BudgetExhausted after `budget` gap evaluations without a
-    violation; exhaustion is not a simplex verdict.
+    facet-moved copies K_{i,t} of K at half the safe ranges; (c) seeded
+    random hull pairs, each draw seeded by its index. Raises
+    BudgetExhausted after `budget` gap evaluations without a violation;
+    exhaustion is not a simplex verdict.
+
+    Stage (b) refutes every non-simplex. For K_t = K_{i,t} write
+    mu_t = V(K_t,K[n-1])·S(K) - V(K)·S(K_t,K[n-2]), which is V(K) times the
+    residual of lemma_measure_power_identity(K, MoveSpec(i, t), 1) and t
+    times a fixed measure. Moves in the safe range keep K's fan, so
+    gap(K_{i,t}, K_{j,s}) = (s/n)·mu_t(z_j) and sum_j h_K(z_j)·mu_t(z_j) = 0.
+    Gaps ignore translations; with the origin interior, h_K > 0, so a
+    nonzero mu_t has an atom with mu_t(z_j) > 0, and the stage-(b) pair
+    (K_{i,t_max/2}, K_{j,t_min/2}) has a negative gap. The paper's facet
+    move makes mu_t nonzero on every non-simplex, so witnesses come from
+    (a) or (b) alone, and cap cuts paired with axis segments (the strict
+    command's probe) could never be the first to succeed; the search does
+    not try them.
     """
     if not isinstance(budget, int) or budget < 1:
         raise BadParams("budget must be a positive integer")
@@ -416,80 +420,37 @@ def counterexample_search(K: Polytope, budget: int) -> BezoutCertificate:
     if not K.is_full_dimensional:
         raise DegenerateInput("search target must be full-dimensional")
 
-    evaluations = 0
+    def candidates():
+        # (a) segments along edge directions, colex-ordered
+        dirs = sorted(
+            {
+                _canon_direction(vsub(K.vertices[j], K.vertices[i]))
+                for i, j in vertex_adjacency(K)
+            },
+            key=lambda d: tuple(reversed(d)),
+        )
+        origin = tuple(Fraction(0) for _ in range(n))
+        segs = [_from_points([origin, tuple(map(Fraction, d))], n) for d in dirs]
+        yield from combinations(segs, 2)
 
-    def attempt(L: Polytope, M: Polytope):
-        nonlocal evaluations
-        if evaluations >= budget:
+        # (b) facet-move pairs at +-half of the safe ranges
+        moved = []
+        for i in range(len(facet_structure(K))):
+            t_min, t_max = safe_move_range(K, i)
+            moved.append(move_facet(K, MoveSpec(i, t_max / 2)))
+            moved.append(move_facet(K, MoveSpec(i, t_min / 2)))
+        yield from combinations(moved, 2)
+
+        # (c) seeded random hull pairs, until the budget runs out
+        for index in count(0, 2):
+            yield _search_random_body(n, index), _search_random_body(n, index + 1)
+
+    for evaluations, (L, M) in enumerate(candidates()):
+        if evaluations == budget:
             raise BudgetExhausted(evaluations)
-        evaluations += 1
         cert = bezout_gap(L, M, K)
-        return cert if cert.gap < 0 else None
-
-    origin = tuple(Fraction(0) for _ in range(n))
-
-    # (a) segments along edge directions, colex-ordered
-    dirs = sorted(
-        {
-            _canon_direction(vsub(K.vertices[j], K.vertices[i]))
-            for i, j in vertex_adjacency(K)
-        },
-        key=lambda d: tuple(reversed(d)),
-    )
-    segs = [_segment(origin, d, n) for d in dirs]
-    for a in range(len(segs)):
-        for b in range(a + 1, len(segs)):
-            found = attempt(segs[a], segs[b])
-            if found:
-                return found
-
-    # (b) facet-move pairs at +-half of the safe ranges
-    moved = []
-    for i in range(len(facet_structure(K))):
-        t_min, t_max = safe_move_range(K, i)
-        moved.append(move_facet(K, MoveSpec(i, t_max / 2)))
-        moved.append(move_facet(K, MoveSpec(i, t_min / 2)))
-    for a in range(len(moved)):
-        for b in range(a + 1, len(moved)):
-            found = attempt(moved[a], moved[b])
-            if found:
-                return found
-
-    # (c) cap cuts at vertex directions paired with axis segments
-    facets = facet_structure(K)
-    for v in K.vertices:
-        zsum = [0] * n
-        for f in facets:
-            if dot(f.normal, v) == f.offset:
-                zsum = [a + b for a, b in zip(zsum, f.normal)]
-        if not any(zsum):
-            continue
-        zv = primitive(tuple(zsum))
-        span = support_value(K, zv) + support_value(K, tuple(-c for c in zv))
-        for frac in (Fraction(1, 10), Fraction(1, 4), Fraction(1, 2)):
-            try:
-                M = cap_cut(K, zv, span * frac)
-            except EmptyOrFlat:
-                continue
-            if not support_drop_set(K, M):
-                continue
-            for j in range(n):
-                axis = tuple(Fraction(int(k == j)) for k in range(n))
-                if projection_preserved(K, M, axis):
-                    L = _segment(tuple(-c for c in axis), axis, n)
-                    found = attempt(L, M)
-                    if found:
-                        return found
-
-    # (d) seeded random hull pairs, until the budget runs out
-    index = 0
-    while True:
-        L = _search_random_body(n, 2 * index)
-        M = _search_random_body(n, 2 * index + 1)
-        index += 1
-        found = attempt(L, M)
-        if found:
-            return found
+        if cert.gap < 0:
+            return cert
 
 
 def facet_move_linearity_check(

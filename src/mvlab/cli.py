@@ -47,18 +47,6 @@ def _dim_cap() -> int:
     return min(DIM_CAP, v)  # may lower the cap, never raise it
 
 
-class _AddBody(argparse.Action):
-    """Append (source, value) to a shared list so --input/--gen keep their
-    relative order."""
-
-    def __call__(self, parser, namespace, values, option_string=None):
-        items = getattr(namespace, "bodies", None)
-        if items is None:
-            items = []
-            setattr(namespace, "bodies", items)
-        items.append((self.const, values))
-
-
 def _coerce_param(tok: str):
     tok = tok.strip()
     try:
@@ -84,7 +72,7 @@ def _parse_gen_spec(spec: str):
 def _load_bodies(ns):
     cap = _dim_cap()
     out = []
-    for source, value in getattr(ns, "bodies", None) or []:
+    for source, value in ns.bodies or []:
         if source == "input":
             try:
                 with open(value, encoding="utf-8") as fh:
@@ -283,21 +271,20 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add(name, help_text):
         sp = sub.add_parser(name, help=help_text)
+        # both flags append (source, value) to one list, keeping their order
         sp.add_argument(
             "--input",
             dest="bodies",
-            action=_AddBody,
-            const="input",
-            default=None,
+            action="append",
+            type=lambda v: ("input", v),
             metavar="FILE",
             help="polytope document (JSON); repeatable",
         )
         sp.add_argument(
             "--gen",
             dest="bodies",
-            action=_AddBody,
-            const="gen",
-            default=None,
+            action="append",
+            type=lambda v: ("gen", v),
             metavar="KIND:PARAMS",
             help="generated body, e.g. cube:3 or random_hull:2,6,0;"
             " repeatable, order shared with --input",

@@ -21,6 +21,19 @@ def _check_dim(n):
         raise BadParams(f"dimension {n!r} outside 1..{DIM_CAP}")
 
 
+def _count(v, what: str) -> int:
+    if not isinstance(v, int):
+        raise BadParams(f"{what} must be an integer, got {v!r}")
+    return v
+
+
+def _rational(v, what: str) -> Fraction:
+    try:
+        return Fraction(v)
+    except (TypeError, ValueError, OverflowError):
+        raise BadParams(f"{what} must be a rational number, got {v!r}") from None
+
+
 def simplex(n: int) -> Polytope:
     """conv{0, e_1, ..., e_n}."""
     _check_dim(n)
@@ -49,7 +62,7 @@ def cross_polytope(n: int) -> Polytope:
 
 def prism(base: Polytope, height) -> Polytope:
     """base x [0, height] in one dimension higher."""
-    h = Fraction(height)
+    h = _rational(height, "prism height")
     if h <= 0:
         raise BadParams("prism height must be positive")
     if not base.is_full_dimensional:
@@ -75,7 +88,7 @@ def random_points(rng: random.Random, n: int, count: int, span: int, max_den: in
 def random_hull(n: int, m: int, seed: int) -> Polytope:
     """Hull of m seeded random rational points, redrawn until full-dimensional."""
     _check_dim(n)
-    if m < n + 1:
+    if _count(m, "point count") < n + 1:
         raise BadParams(f"need at least {n + 1} points, got {m}")
     rng = random.Random(f"mvlab-gen:{n}:{m}:{seed}")
     for _ in range(64):
@@ -88,8 +101,9 @@ def random_hull(n: int, m: int, seed: int) -> Polytope:
 
 def regular_polygon(m: int, max_denominator: int) -> Polytope:
     """m-gon with vertices rationally rounded from the unit circle."""
-    if m < 3:
+    if _count(m, "vertex count") < 3:
         raise BadParams("polygon needs at least 3 vertices")
+    max_denominator = _rational(max_denominator, "denominator cap")
     if max_denominator < 1:
         raise BadParams("denominator cap must be positive")
     pts = []
@@ -115,8 +129,9 @@ _ICO_FACES = (
 def ball_approx_3d(subdivisions: int, max_denominator: int) -> Polytope:
     """Rationalized icosphere: icosahedron faces subdivided on the unit
     sphere, coordinates rounded to denominators <= max_denominator."""
-    if not 0 <= subdivisions <= 3:
+    if not 0 <= _count(subdivisions, "subdivision count") <= 3:
         raise BadParams("subdivisions outside 0..3")
+    max_denominator = _rational(max_denominator, "denominator cap")
     if max_denominator < 1:
         raise BadParams("denominator cap must be positive")
     phi = (1 + math.sqrt(5)) / 2
@@ -160,7 +175,7 @@ def ball_approx_3d(subdivisions: int, max_denominator: int) -> Polytope:
 def truncated_simplex(n: int, eps) -> Polytope:
     """Standard simplex with the vertex e_1 cut off at depth eps."""
     _check_dim(n)
-    e = Fraction(eps)
+    e = _rational(eps, "truncation depth")
     if not 0 < e < 1:
         raise BadParams("truncation depth must be in (0, 1)")
     z = tuple(int(j == 0) for j in range(n))
@@ -192,7 +207,7 @@ def generate(kind: str, params) -> Polytope:
     params = list(params)
     if len(params) != arity:
         raise BadParams(f"{kind} takes {arity} parameter(s), got {len(params)}")
-    if kind == "prism" and isinstance(params[0], str):
+    if kind == "prism" and not isinstance(params[0], Polytope):
         base = _PRISM_BASES.get(params[0])
         if base is None:
             raise BadParams(f"unknown prism base {params[0]!r}")

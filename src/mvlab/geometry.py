@@ -14,7 +14,7 @@ offset(z) = max <x, z> and normalized_volume = Vol_{n-1}(facet)/||z||.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
@@ -82,7 +82,7 @@ class FacetData:
     normalized_volume: Fraction  # Vol_{n-1}(facet) / ||normal||
 
 
-@dataclass(frozen=True, slots=True, eq=False)
+@dataclass(frozen=True, slots=True)
 class Polytope:
     """Immutable convex polytope; construct via convex_hull and friends.
 
@@ -94,21 +94,13 @@ class Polytope:
     """
 
     dim: int
-    adim: int
+    adim: int = field(compare=False)
     vertices: tuple
-    facets: tuple
-    volume: Fraction
+    facets: tuple = field(compare=False)
+    volume: Fraction = field(compare=False)
 
     def key(self):
         return (self.dim, self.vertices)
-
-    def __eq__(self, other):
-        if not isinstance(other, Polytope):
-            return NotImplemented
-        return self.dim == other.dim and self.vertices == other.vertices
-
-    def __hash__(self):
-        return hash(self.key())
 
     def __repr__(self):
         return f"Polytope(dim={self.dim}, adim={self.adim}, nverts={len(self.vertices)})"

@@ -32,7 +32,14 @@ from mvlab.errors import (
     EmptyOrFlat,
     RangeViolation,
 )
-from mvlab.generators import cross_polytope, cube, simplex
+from mvlab.generators import (
+    cross_polytope,
+    cube,
+    prism,
+    random_hull,
+    simplex,
+    truncated_simplex,
+)
 from mvlab.geometry import (
     Halfspace,
     clip_halfspace,
@@ -366,11 +373,62 @@ def test_search_exhaustion():
         counterexample_search(simplex(2), 150)
     assert exc.value.evaluations == 150
     assert "150" in str(exc.value)
-    # stage (d) draws its bodies from fixed seeds; pin one draw
+    # stage (c) draws its bodies from fixed seeds; pin one draw
     verts = bezout._search_random_body(3, 0).vertices
     assert len(verts) == 5
     assert verts[0] == (F(-5, 2), F(1), F(-1))
     assert verts[-1] == (F(2), F(5, 3), F(-6))
+
+
+def _mu(K, i, t):
+    """mu_t = V(K_t,K[n-1])·S(K) - V(K)·S(K_t,K[n-2]) as {normal: weight},
+    read off the r=1 measure-power residual."""
+    res = lemma_measure_power_identity(K, MoveSpec(i, t), 1).residual
+    return {z: K.volume * (rhs - lhs) for z, lhs, rhs in res}
+
+
+def test_facet_move_gap_is_mu():
+    # the identity behind the search's stage (b): gap(K_{0,t}, K_{j,s}) =
+    # (s/n)·mu_t(z_j), and a nonzero mu_t has atoms of both signs
+    bodies = [
+        cube(3),
+        truncated_simplex(3, F(1, 3)),
+        prism(simplex(2), 1),
+        random_hull(2, 6, 3),
+        simplex(3),
+    ]
+    for K in bodies:
+        n = K.dim
+        facets = facet_structure(K)
+        _, t_max = safe_move_range(K, 0)
+        t = t_max / 2
+        Kt = move_facet(K, MoveSpec(0, t))
+        mu = _mu(K, 0, t)
+        for j, f in enumerate(facets):
+            for s in safe_move_range(K, j):
+                Ks = move_facet(K, MoveSpec(j, s / 2))
+                assert bezout_gap(Kt, Ks, K).gap == s / 2 / n * mu.get(f.normal, 0)
+        if len(K.vertices) == n + 1:
+            assert mu == {}
+        else:
+            assert min(mu.values()) < 0 < max(mu.values())
+
+
+def test_search_never_reaches_random_stage(monkeypatch):
+    def no_random(n, index):
+        raise AssertionError("search reached its random stage")
+
+    monkeypatch.setattr(bezout, "_search_random_body", no_random)
+    for K in (
+        cube(2),
+        cube(3),
+        cross_polytope(2),
+        cross_polytope(3),
+        prism(simplex(2), 1),
+        truncated_simplex(2, F(1, 4)),
+        truncated_simplex(3, F(1, 3)),
+    ):
+        assert counterexample_search(K, 10**4).gap < 0
 
 
 def test_search_budget_validation():

@@ -234,9 +234,30 @@ def test_operation_error_report(capsys):
 
 
 def test_bad_gen_spec(capsys):
-    code, rep = run_json(capsys, ["mv", "--gen", "klein_bottle:2"])
-    assert code == 2
-    assert rep["error"]["type"] == "BadParams"
+    # malformed numbers are usage errors (exit 2), never a verdict (exit 1)
+    for spec in (
+        "klein_bottle:2",
+        "regular_polygon:7/2,100",
+        "regular_polygon:5,x",
+        "ball_approx_3d:1/2,100",
+        "ball_approx_3d:1,x",
+        "prism:triangle,x",
+        "truncated_simplex:3,x",
+        "random_hull:3,7/2,1",
+        "prism:3,1",
+    ):
+        code, rep = run_json(capsys, ["mv", "--gen", spec])
+        assert code == 2, spec
+        assert rep["error"]["type"] == "BadParams", spec
+
+
+def test_gen_decimal_denominator_cap(capsys):
+    code, rep = run_json(
+        capsys,
+        ["mv", "--gen", "regular_polygon:64,1e6", "--gen", "regular_polygon:64,1000000"],
+    )
+    assert code == 0
+    assert rep["inputs"][0]["digest"] == rep["inputs"][1]["digest"]
 
 
 def test_parse_error_exit(tmp_path, capsys):
