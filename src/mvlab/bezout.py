@@ -258,8 +258,8 @@ def cap_cut(K: Polytope, z, eps) -> Polytope:
 
 
 def projection_preserved(K: Polytope, M: Polytope, v) -> bool:
-    """True iff M and K have identical projections onto v-perp (exact
-    vertex-set equality in the shared rational basis)."""
+    """True iff M and K have identical projections along v (exact
+    vertex-set equality of their images under geometry.project_along)."""
     pK, _ = project_along(K, v)
     pM, _ = project_along(M, v)
     return pK == pM

@@ -90,6 +90,7 @@ def random_hull(n: int, m: int, seed: int) -> Polytope:
     _check_dim(n)
     if _count(m, "point count") < n + 1:
         raise BadParams(f"need at least {n + 1} points, got {m}")
+    _count(seed, "seed")
     rng = random.Random(f"mvlab-gen:{n}:{m}:{seed}")
     for _ in range(64):
         pts = random_points(rng, n, m, 10, 4)

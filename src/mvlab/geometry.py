@@ -32,7 +32,6 @@ from .hull import hull_int
 from .linalg import (
     dot,
     gcd_vec,
-    primitive_from_rational,
     rank,
     rref,
     scale_to_int,
@@ -62,16 +61,10 @@ def clear_caches():
 
 @dataclass(frozen=True)
 class Halfspace:
-    """Constraint <x, normal> <= bound (sense '<=') or >= bound (sense '>=')."""
+    """Constraint <x, normal> <= bound; negate both for a >= constraint."""
 
     normal: tuple[int, ...]
     bound: Fraction
-    sense: str = "<="
-
-    def as_le(self) -> tuple[tuple[int, ...], Fraction]:
-        if self.sense == "<=":
-            return self.normal, self.bound
-        return tuple(-c for c in self.normal), -self.bound
 
 
 @dataclass(frozen=True)
@@ -195,7 +188,7 @@ def vertex_enumeration(halfspaces, dim: int) -> Polytope:
         raise BadParams("more than 128 halfspaces")
     tight: dict[tuple[int, ...], Fraction] = {}
     for h in halfspaces:
-        z, b = h.as_le()
+        z, b = h.normal, h.bound
         if not any(z):
             raise ZeroVector("halfspace with zero normal")
         if len(z) != dim:
@@ -207,7 +200,7 @@ def vertex_enumeration(halfspaces, dim: int) -> Polytope:
             tight[z] = b
     normals = sorted(tight)
 
-    if rank(normals) < dim or not _origin_interior(normals, dim):
+    if not _origin_interior(normals, dim):
         raise Unbounded("constraint normals do not positively span R^n")
 
     candidates = set()
@@ -314,7 +307,7 @@ def volume(P: Polytope) -> Fraction:
 
 def clip_halfspace(P: Polytope, h: Halfspace) -> Polytope:
     """Exact intersection P ∩ h; may be empty or lower-dimensional."""
-    z, b = h.as_le()
+    z, b = h.normal, h.bound
     if len(z) != P.dim:
         raise DimensionMismatch("halfspace normal length mismatch")
     if not any(z):
@@ -340,37 +333,32 @@ def clip_halfspace(P: Polytope, h: Halfspace) -> Polytope:
 
 
 def project_along(P: Polytope, v):
-    """Project P onto v-perp, in coordinates of a rational basis B of v-perp.
+    """Project P along v onto the coordinate hyperplane {x_k = 0}, where k
+    is the first nonzero coordinate of v.
 
-    Returns (projection, gram_correction) with gram_correction = det(B^T B);
-    the true (n-1)-volume of the projection is volume(projection) times
-    sqrt(gram_correction). Coordinate axes use coordinate deletion, so their
-    correction is 1.
+    Each vertex x maps to x - (x_k/v_k)·v, and coordinate k is dropped.
+    Returns (projection, |v_k|). By Cavalieri, vol_n(K + s·[0,v]) =
+    vol_n(K) + s·|v_k|·vol_{n-1}(QK) for this oblique projection Q, so
+    |v_k|·vol_{n-1}(QK) is the orthogonal projection's volume times ||v||,
+    with no square root. The map is unchanged when v is scaled; along an
+    axis e_k it deletes coordinate k.
     """
     if P.is_empty:
         raise DegenerateInput("projection of the empty polytope")
-    d = primitive_from_rational(tuple(Fraction(c) for c in v))
+    v = tuple(Fraction(c) for c in v)
     n = P.dim
-    if len(d) != n:
+    if len(v) != n:
         raise DimensionMismatch("direction length mismatch")
-
-    nz = [i for i, c in enumerate(d) if c]
-    if len(nz) == 1:
-        k = nz[0]
-        pts = [tuple(x[j] for j in range(n) if j != k) for x in P.vertices]
-        return _from_points(pts, n - 1), Fraction(1)
-
-    k = nz[0]
-    nrm2 = sum(c * c for c in d)
-    # basis B_j = d_j e_k - d_k e_j for j != k; coordinates of the
-    # orthogonal projection x' = x - (<x,d>/||d||^2) d in this basis are
-    # alpha_j = ((<x,d>/||d||^2) d_j - x_j) / d_k
-    pts = []
-    for x in P.vertices:
-        t = Fraction(dot(d, x), nrm2)
-        pts.append(tuple((t * d[j] - x[j]) / d[k] for j in range(n) if j != k))
-    gram = Fraction(d[k]) ** (2 * (n - 2)) * nrm2
-    return _from_points(pts, n - 1), gram
+    k = next((i for i, c in enumerate(v) if c), None)
+    if k is None:
+        raise ZeroVector("projection direction is zero")
+    ratios = [(j, v[j] / v[k]) for j in range(n) if j != k]
+    # zero ratios skip the Fraction arithmetic: axes are the common case
+    pts = [
+        tuple(x[j] - x[k] * r if r else x[j] for j, r in ratios)
+        for x in P.vertices
+    ]
+    return _from_points(pts, n - 1), abs(v[k])
 
 
 def interior_point(P: Polytope) -> tuple[Fraction, ...]:

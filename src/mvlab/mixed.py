@@ -9,9 +9,14 @@ shared by several mixed volumes is usually summed once.
 
 The measure path represents V(L, K_1,...,K_{n-1}) = (1/n) sum of
 h_L(z) * w(z) over the atoms of the mixed area measure of (K_1,...,K_{n-1});
-atom weights are (n-1)-dimensional mixed volumes of faces, computed in a
-dropped-coordinate chart. The two paths are independent oracles for each
-other.
+atom weights are (n-1)-dimensional mixed volumes of faces, projected along
+a coordinate axis. The two paths are independent oracles for each other.
+
+A segment slot is taken by one rational projection (Schneider, Convex
+Bodies, 2nd ed., section 5.1): with k the first nonzero coordinate of v and
+Q the oblique projection x -> x - (x_k/v_k)·v onto {x_k = 0}, Cavalieri
+gives vol_n(K + s·[0,v]) = vol_n(K) + s·|v_k|·vol_{n-1}(QK), and polarizing
+gives V([0,v], K_2,...,K_n) = (|v_k|/n)·V(QK_2,...,QK_n).
 
 The gap and search code in bezout.py uses a third, private evaluator that
 takes exact shortcuts (equal slots, a point slot, the first-variation sum
@@ -35,7 +40,6 @@ from .errors import (
     DegenerateInput,
     DimensionLimit,
     DimensionMismatch,
-    InternalCheckError,
     ZeroVector,
 )
 from .geometry import (
@@ -49,9 +53,8 @@ from .geometry import (
     project_along,
     support_value,
     _bounded_cache,
-    _from_points,
 )
-from .linalg import cross_rows, perfect_nth_root, primitive_from_rational, rref, vsub
+from .linalg import cross_rows, primitive_from_rational, rref, vsub
 
 
 @dataclass(frozen=True)
@@ -189,24 +192,14 @@ def _flat_normal(P: Polytope):
     return primitive_from_rational(cross_rows(basis))
 
 
-def _dropped_faces(bodies, z, k):
-    """Faces of the bodies in direction z, with coordinate k deleted."""
-    out = []
-    for body in bodies:
-        face = face_in_direction(body, z)
-        pts = [tuple(x[j] for j in range(body.dim) if j != k) for x in face.vertices]
-        out.append(_from_points(pts, body.dim - 1))
-    return out
-
-
 def mixed_area_measure(bodies) -> DiscreteMeasure:
     """Mixed area measure of n-1 bodies in R^n.
 
     Candidate normals are the facet normals of the bodies' Minkowski sum
     (the two hull-plane normals when that sum is (n-1)-dimensional); the
     atom weight at z is the (n-1)-dimensional mixed volume of the faces in
-    direction z, computed in the chart that deletes a coordinate k with
-    maximal |z_k| and divided by |z_k|. Atoms of zero weight are dropped.
+    direction z, projected along e_k for a coordinate k with maximal |z_k|
+    and divided by |z_k|. Atoms of zero weight are dropped.
     """
     bodies, n = _checked(bodies, 1)
     total = _subset_sum(tuple(sorted(bodies, key=Polytope.key)))
@@ -221,12 +214,9 @@ def mixed_area_measure(bodies) -> DiscreteMeasure:
     weights = {}
     for z in candidates:
         k = max(range(n), key=lambda i: abs(z[i]))
-        faces = _dropped_faces(bodies, z, k)
-        if n == 2:
-            # 1-dimensional mixed volume is just the length
-            w = faces[0].volume if faces[0].adim == 1 else Fraction(0)
-        else:
-            w = mixed_volume(faces)
+        axis = tuple(int(i == k) for i in range(n))
+        faces = [project_along(face_in_direction(b, z), axis)[0] for b in bodies]
+        w = mixed_volume(faces)
         if w:
             weights[z] = w / abs(z[k])
     return _make_measure(n, weights)
@@ -247,9 +237,11 @@ def mixed_volume_via_measure(L: Polytope, bodies) -> Fraction:
 
 
 def segment_mixed_volume(v, bodies) -> Fraction:
-    """V([0,v], K_2,...,K_n) via projection: (1/n)·||v||·V^(n-1) of the
-    projections onto v-perp. The irrational factors ||v|| and sqrt(gram)
-    cancel exactly; their product is asserted to be a rational square."""
+    """V([0,v], K_2,...,K_n) = (|v_k|/n)·V(QK_2,...,QK_n), where Q is the
+    oblique projection along v onto {x_k = 0} for the first nonzero
+    coordinate k of v (see geometry.project_along); by Cavalieri, |v_k|
+    times the (n-1)-volume of QK is ||v|| times that of K's orthogonal
+    projection, so the value is rational."""
     bodies, n = _checked(bodies, 1)
     vv = tuple(Fraction(c) for c in v)
     if len(vv) != n:
@@ -260,26 +252,16 @@ def segment_mixed_volume(v, bodies) -> Fraction:
 
 
 def _project_segment_slot(v, bodies, inner_mixed_volume) -> Fraction:
-    """V([0,v], bodies) for n-1 checked bodies in R^n and a nonzero rational
-    v, with inner_mixed_volume evaluating the (n-1)-dimensional mixed volume
-    of the projections. Each distinct body is projected once."""
-    n = len(v)
+    """V([0,v], bodies) = |v_k|·V(QK_2,...,QK_n)/n for n-1 checked bodies
+    in R^n and a nonzero rational v, Q the oblique projection of
+    geometry.project_along (exact by Cavalieri, see there), with
+    inner_mixed_volume evaluating the (n-1)-dimensional mixed volume of
+    the projections. Each distinct body is projected once."""
     images = {}
     for body in bodies:
         if body.key() not in images:
             images[body.key()] = project_along(body, v)
     projected = [images[b.key()][0] for b in bodies]
-    # the Gram correction depends on v alone
-    gram = images[bodies[0].key()][1]
-    if n == 2:
-        inner = projected[0].volume if projected[0].adim == 1 else Fraction(0)
-    else:
-        inner = inner_mixed_volume(projected)
-    # ||v||·sqrt(gram) is rational: its square is asserted to be a perfect
-    # square of rationals
-    norm2 = sum(c * c for c in v)
-    scale2 = norm2 * gram
-    scale = perfect_nth_root(scale2, 2)
-    if scale is None:
-        raise InternalCheckError("projection scale was not a rational square")
-    return scale * inner / n
+    # the factor |v_k| depends on v alone
+    scale = images[bodies[0].key()][1]
+    return scale * inner_mixed_volume(projected) / len(v)

@@ -31,6 +31,7 @@ from mvlab.errors import (
     DimensionMismatch,
     EmptyOrFlat,
     RangeViolation,
+    ZeroVector,
 )
 from mvlab.generators import (
     cross_polytope,
@@ -196,6 +197,11 @@ def test_projection_preserved():
     Mx = cap_cut(sq, (1, 0), F(1, 5))
     assert projection_preserved(sq, Mx, (1, 0))
     assert not projection_preserved(sq, Mx, (0, 1))
+    # the corner cut keeps the extent of x_2 - x_1 but not of x_1 + x_2
+    assert projection_preserved(sq, M, (1, 1))
+    assert not projection_preserved(sq, M, (1, -1))
+    with pytest.raises(ZeroVector):
+        projection_preserved(sq, M, (0, 0))
 
 
 def test_support_drop_set():

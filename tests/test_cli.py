@@ -245,6 +245,9 @@ def test_bad_gen_spec(capsys):
         "truncated_simplex:3,x",
         "random_hull:3,7/2,1",
         "prism:3,1",
+        "random_hull:2,3,x",
+        "random_hull:2,3,1/2",
+        "random_hull:2,3,1.5",
     ):
         code, rep = run_json(capsys, ["mv", "--gen", spec])
         assert code == 2, spec

@@ -116,7 +116,8 @@ def test_clip_noop_and_empty():
 
 
 def test_clip_ge_sense():
-    upper = clip_halfspace(square(), Halfspace((0, 1), F(1, 2), sense=">="))
+    # y >= 1/2, written as -y <= -1/2
+    upper = clip_halfspace(square(), Halfspace((0, -1), F(-1, 2)))
     assert upper.volume == F(1, 2)
     assert min(v[1] for v in upper.vertices) == F(1, 2)
 
@@ -139,6 +140,10 @@ def test_vertex_enumeration_square():
 def test_vertex_enumeration_unbounded():
     with pytest.raises(Unbounded):
         vertex_enumeration([Halfspace((1, 0), 1), Halfspace((0, 1), 1)], 2)
+    # more than n normals, but of rank 2 < 3: the x_3 axis is free
+    slab = [Halfspace(z, 1) for z in ((1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0))]
+    with pytest.raises(Unbounded):
+        vertex_enumeration(slab, 3)
 
 
 def test_vertex_enumeration_empty():
@@ -214,15 +219,26 @@ def test_vertex_adjacency_square():
 
 
 def test_project_along_diagonal():
-    P, gram = project_along(square(), (1, 1))
-    assert gram == 2
-    assert P.dim == 1 and P.volume == 1
+    # along (1,1) onto {x_1 = 0}: x -> x_2 - x_1, so the square maps onto
+    # [-1, 1] with factor |v_1| = 1
+    P, factor = project_along(square(), (1, 1))
+    assert factor == 1
+    assert P.dim == 1 and P.volume == 2
+    assert P.vertices == ((F(-1),), (F(1),))
+    # scaling v keeps the map and scales the factor
+    Q, factor = project_along(square(), (2, 2))
+    assert Q == P and factor == 2
 
 
 def test_project_along_axis():
-    P, gram = project_along(square(), (0, 1))
-    assert gram == 1
+    P, factor = project_along(square(), (0, 1))
+    assert factor == 1
     assert P.volume == 1
+
+
+def test_project_along_zero_direction():
+    with pytest.raises(ZeroVector):
+        project_along(square(), (0, 0))
 
 
 # ---------------------------------------------------------------- properties

@@ -167,6 +167,14 @@ def test_segment_mixed_volume_matches_polarization():
         bodies = [rand_body(rng, n) for _ in range(n - 1)]
         L = seg((0,) * n, v, n)
         assert segment_mixed_volume(v, bodies) == mixed_volume([L] + bodies)
+    # non-primitive rational directions, two of them with v_1 = 0, so the
+    # projection runs along a later coordinate k with |v_k| != 1
+    for v in ((0, F(1, 2), F(-3, 4)), (0, 0, 2, -1), (F(2, 3), 0, 0, -1)):
+        n = len(v)
+        L = seg((0,) * n, v, n)
+        for _ in range(2):
+            bodies = [rand_body(rng, n) for _ in range(n - 1)]
+            assert segment_mixed_volume(v, bodies) == mixed_volume([L] + bodies)
 
 
 def test_symmetry_all_permutations():
