@@ -7,8 +7,8 @@ exactly when K is a simplex. This module provides the gap evaluators, the
 facet-moving deformation K_{t,i} with a certified safe range, cap cuts,
 measure-proportionality and homothety tests, a measure-power identity
 checker, the per-facet simplex audit, and a deterministic counterexample
-search in three stages: segment pairs along edge directions, pairs of
-facet-moved copies of K, and seeded random hull pairs.
+search over a finite family: segment pairs along edge directions, then
+pairs of facet-moved copies of K.
 
 Every mixed volume here goes through mixed._mixed_volume_fast, which takes
 exact shortcuts and falls back to polarization; its values equal public
@@ -22,10 +22,9 @@ here are stated in that scale.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, count
+from itertools import combinations, islice
 from typing import NamedTuple, Optional
 
 from .errors import (
@@ -54,7 +53,6 @@ from .geometry import (
     _bounded_cache,
     _from_points,
 )
-from .generators import random_points
 from .linalg import dot, perfect_nth_root, primitive, primitive_from_rational, rank, solve, vsub
 from .mixed import (
     DiscreteMeasure,
@@ -92,7 +90,7 @@ class BezoutCertificate:
 class FacetAuditRecord:
     facet_index: int
     t: Fraction  # midpoint of the positive safe half-range
-    proportional: bool  # at both t and t/2
+    proportional: bool  # S(K_t) proportional to S(K)
     scale: Optional[Fraction]  # lambda at t, when proportional
 
 
@@ -353,26 +351,22 @@ def af_spot_check(L: Polytope, M: Polytope, rest) -> Fraction:
 
 def simplex_audit(K: Polytope) -> AuditReport:
     """Per facet: move by the midpoint t of the positive safe half-range
-    (confirming at t/2) and test proportionality of S(K_t) to S(K).
-    Verdict "simplex" iff every facet passes; cross-checked against the
-    vertex count n+1."""
+    and test proportionality of S(K_t) to S(K). Verdict "simplex" iff every
+    facet passes; cross-checked against the vertex count n+1.
+
+    One t per facet suffices: if S(K_t) = m·S(K), Minkowski's uniqueness
+    theorem gives K_t = lambda·K + x, and halving (lambda - 1, x) gives
+    K_{t/2} = ((1 + lambda)/2)·K + x/2, which is proportional again."""
     n = K.dim
-    facets = facet_structure(K)
     sK = surface_area_measure(K)
     records = []
-    for i in range(len(facets)):
+    for i in range(len(facet_structure(K))):
         _, t_max = safe_move_range(K, i)
         t = t_max / 2
         lam = measures_proportional(
             surface_area_measure(move_facet(K, MoveSpec(i, t))), sK
         )
-        ok = lam is not None
-        if ok:
-            confirm = measures_proportional(
-                surface_area_measure(move_facet(K, MoveSpec(i, t / 2))), sK
-            )
-            ok = confirm is not None
-        records.append(FacetAuditRecord(i, t, ok, lam if ok else None))
+        records.append(FacetAuditRecord(i, t, lam is not None, lam))
     verdict = "simplex" if all(r.proportional for r in records) else "non-simplex"
     if (verdict == "simplex") != (len(K.vertices) == n + 1):
         raise InternalCheckError("audit verdict disagrees with vertex count")
@@ -387,32 +381,29 @@ def _canon_direction(d):
     raise InternalCheckError("zero edge direction")
 
 
-def _search_random_body(n: int, index: int) -> Polytope:
-    rng = random.Random(f"mvlab-search:{n}:{index}")
-    return _from_points(random_points(rng, n, n + 2, 6, 3), n)
-
-
 def counterexample_search(K: Polytope, budget: int) -> BezoutCertificate:
-    """Deterministic staged search for (L, M) with negative gap against K.
+    """Deterministic search for (L, M) with negative gap against K.
 
-    Stages: (a) pairs of segments along K's edge directions; (b) pairs of
-    facet-moved copies K_{i,t} of K at half the safe ranges; (c) seeded
-    random hull pairs, each draw seeded by its index. Raises
-    BudgetExhausted after `budget` gap evaluations without a violation;
-    exhaustion is not a simplex verdict.
+    The candidates form a finite family: (a) pairs of segments along K's
+    edge directions, then (b) pairs of facet-moved copies K_{i,t} of K at
+    half the safe ranges. Raises BudgetExhausted, carrying the number of
+    gap evaluations made, when `budget` evaluations or the whole family
+    pass without a violation; exhaustion is not a simplex verdict.
 
     Stage (b) refutes every non-simplex. For K_t = K_{i,t} write
     mu_t = V(K_t,K[n-1])·S(K) - V(K)·S(K_t,K[n-2]), which is V(K) times the
     residual of lemma_measure_power_identity(K, MoveSpec(i, t), 1) and t
-    times a fixed measure. Moves in the safe range keep K's fan, so
-    gap(K_{i,t}, K_{j,s}) = (s/n)·mu_t(z_j) and sum_j h_K(z_j)·mu_t(z_j) = 0.
-    Gaps ignore translations; with the origin interior, h_K > 0, so a
-    nonzero mu_t has an atom with mu_t(z_j) > 0, and the stage-(b) pair
-    (K_{i,t_max/2}, K_{j,t_min/2}) has a negative gap. The paper's facet
-    move makes mu_t nonzero on every non-simplex, so witnesses come from
-    (a) or (b) alone, and cap cuts paired with axis segments (the strict
-    command's probe) could never be the first to succeed; the search does
-    not try them.
+    times a fixed measure. Moves in the safe range keep K's facet normals,
+    though not always its fan (a move splits the non-simple vertices of
+    cross_polytope(3)), so gap(K_{i,t}, K_{j,s}) = (s/n)·mu_t(z_j) and
+    sum_j h_K(z_j)·mu_t(z_j) = 0. Gaps ignore translations; with the origin
+    interior, h_K > 0, so a nonzero mu_t has an atom with mu_t(z_j) > 0,
+    and the stage-(b) pair (K_{i,t_max/2}, K_{j,t_min/2}) has a negative
+    gap. The paper's facet move makes mu_t nonzero on every non-simplex,
+    so witnesses come from (a) or (b) alone, and on a simplex no pair has
+    a negative gap. Any further candidates (cap cuts paired with axis
+    segments, as in the strict command's probe, or random hull pairs)
+    could never be the first to succeed, so the search does not try them.
     """
     if not isinstance(budget, int) or budget < 1:
         raise BadParams("budget must be a positive integer")
@@ -441,16 +432,13 @@ def counterexample_search(K: Polytope, budget: int) -> BezoutCertificate:
             moved.append(move_facet(K, MoveSpec(i, t_min / 2)))
         yield from combinations(moved, 2)
 
-        # (c) seeded random hull pairs, until the budget runs out
-        for index in count(0, 2):
-            yield _search_random_body(n, index), _search_random_body(n, index + 1)
-
-    for evaluations, (L, M) in enumerate(candidates()):
-        if evaluations == budget:
-            raise BudgetExhausted(evaluations)
+    evaluations = 0
+    for L, M in islice(candidates(), budget):
+        evaluations += 1
         cert = bezout_gap(L, M, K)
         if cert.gap < 0:
             return cert
+    raise BudgetExhausted(evaluations)
 
 
 def facet_move_linearity_check(

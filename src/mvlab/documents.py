@@ -120,28 +120,30 @@ def report_json(report: dict) -> str:
 
 
 def _flatten(prefix: str, obj, rows: list):
+    """Rows for the report value obj: each Fraction is one rational cell,
+    and every list or tuple, integer pairs included, is walked by index."""
+    if isinstance(obj, Polytope):
+        verts = [[Fraction(c) for c in v] for v in obj.vertices]
+        obj = {"dim": obj.dim, "vertices": verts}
     if isinstance(obj, dict):
-        for k in sorted(obj):
-            _flatten(f"{prefix}.{k}" if prefix else str(k), obj[k], rows)
+        for k, v in sorted(obj.items(), key=lambda kv: str(kv[0])):
+            _flatten(f"{prefix}.{k}" if prefix else str(k), v, rows)
     elif isinstance(obj, (list, tuple)):
-        if (
-            len(obj) == 2
-            and all(isinstance(c, int) and not isinstance(c, bool) for c in obj)
-        ):
-            rows.append((prefix, f"{obj[0]}/{obj[1]}", repr(obj[0] / obj[1])))
-        else:
-            for i, v in enumerate(obj):
-                _flatten(f"{prefix}[{i}]", v, rows)
+        for i, v in enumerate(obj):
+            _flatten(f"{prefix}[{i}]", v, rows)
+    elif isinstance(obj, Fraction):
+        num, den = obj.numerator, obj.denominator
+        rows.append((prefix, f"{num}/{den}", repr(num / den)))
     elif obj is None:
         rows.append((prefix, "", ""))
     else:
-        rows.append((prefix, str(obj), ""))
+        rows.append((prefix, str(encode(obj)), ""))
 
 
 def report_csv(report: dict) -> str:
     """Flattened key/value view. Decimal column is lossy by construction."""
     rows: list = []
-    _flatten("", encode(report), rows)
+    _flatten("", report, rows)
     out = io.StringIO()
     out.write("field,value,decimal_lossy\n")
     for field, value, dec in rows:

@@ -46,10 +46,11 @@ class BadParams(MvlabError):
 
 
 class BudgetExhausted(MvlabError):
-    """Counterexample search ran out of gap evaluations.
+    """Counterexample search ran out of budget or of candidates.
 
-    Exhaustion is not a simplex verdict; it only says the fixed search
-    family found nothing within the budget.
+    `evaluations` is the number of gap evaluations made: the budget, or the
+    size of the finite search family when that is smaller. Exhaustion is
+    not a simplex verdict; it only says the family found nothing.
     """
 
     def __init__(self, evaluations: int):

@@ -3,8 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import rand_body, rand_full_body, rand_segment
-from mvlab import bezout
+from conftest import rand_affine_simplex, rand_body, rand_full_body, rand_segment
 from mvlab.bezout import (
     MoveSpec,
     af_spot_check,
@@ -375,15 +374,20 @@ def test_search_square_certificate():
 
 
 def test_search_exhaustion():
+    # on a simplex the finite family runs out: C(C(n+1,2),2) segment pairs
+    # plus C(2(n+1),2) facet-move pairs, for K and for an affine image of it
+    for n, size in ((2, 18), (3, 43), (4, 90)):
+        rng = random.Random(f"search-exhaustion:{n}")
+        for K in (simplex(n), rand_affine_simplex(rng, n)):
+            with pytest.raises(BudgetExhausted) as exc:
+                counterexample_search(K, 10000)
+            assert exc.value.evaluations == size
+            assert f"within {size} gap" in str(exc.value)
+    # a budget below the family size is spent in full
     with pytest.raises(BudgetExhausted) as exc:
-        counterexample_search(simplex(2), 150)
-    assert exc.value.evaluations == 150
-    assert "150" in str(exc.value)
-    # stage (c) draws its bodies from fixed seeds; pin one draw
-    verts = bezout._search_random_body(3, 0).vertices
-    assert len(verts) == 5
-    assert verts[0] == (F(-5, 2), F(1), F(-1))
-    assert verts[-1] == (F(2), F(5, 3), F(-6))
+        counterexample_search(simplex(2), 12)
+    assert exc.value.evaluations == 12
+    assert "12" in str(exc.value)
 
 
 def _mu(K, i, t):
@@ -395,12 +399,19 @@ def _mu(K, i, t):
 
 def test_facet_move_gap_is_mu():
     # the identity behind the search's stage (b): gap(K_{0,t}, K_{j,s}) =
-    # (s/n)·mu_t(z_j), and a nonzero mu_t has atoms of both signs
+    # (s/n)·mu_t(z_j), and a nonzero mu_t has atoms of both signs. The
+    # cross-polytope and the square pyramid have non-simple vertices, where
+    # a move keeps K's facet normals but not its fan.
+    square_pyramid = convex_hull(
+        [(0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 0), (F(1, 2), F(1, 2), 1)], 3
+    )
     bodies = [
         cube(3),
         truncated_simplex(3, F(1, 3)),
         prism(simplex(2), 1),
         random_hull(2, 6, 3),
+        cross_polytope(3),
+        square_pyramid,
         simplex(3),
     ]
     for K in bodies:
@@ -409,6 +420,8 @@ def test_facet_move_gap_is_mu():
         _, t_max = safe_move_range(K, 0)
         t = t_max / 2
         Kt = move_facet(K, MoveSpec(0, t))
+        if K == cross_polytope(3):
+            assert (len(K.vertices), len(Kt.vertices)) == (6, 9)
         mu = _mu(K, 0, t)
         for j, f in enumerate(facets):
             for s in safe_move_range(K, j):
@@ -420,11 +433,7 @@ def test_facet_move_gap_is_mu():
             assert min(mu.values()) < 0 < max(mu.values())
 
 
-def test_search_never_reaches_random_stage(monkeypatch):
-    def no_random(n, index):
-        raise AssertionError("search reached its random stage")
-
-    monkeypatch.setattr(bezout, "_search_random_body", no_random)
+def test_search_refutes_non_simplices():
     for K in (
         cube(2),
         cube(3),

@@ -116,7 +116,8 @@ def test_search_found(capsys):
 def test_search_exhausted(capsys):
     code, rep = run_json(capsys, ["search", "--gen", "simplex:2", "--budget", "60"])
     assert code == 1
-    assert rep["results"] == {"found": False, "budget": 60, "evaluations": 60}
+    # the 2D family holds 18 pairs, fewer than the budget
+    assert rep["results"] == {"found": False, "budget": 60, "evaluations": 18}
     assert rep["verdicts"]["verdict"] == "exhausted"
 
 
@@ -205,6 +206,24 @@ def test_csv_output(capsys):
     lines = out.splitlines()
     assert lines[0] == "field,value,decimal_lossy"
     assert any(line.startswith("results.gap,") for line in lines)
+
+
+def test_csv_integer_vectors(capsys):
+    # integer 2-vectors are vectors, not rationals
+    code, out = run(capsys, ["strict", "--format", "csv", "--gen", "cube:2"])
+    assert code == 1
+    rows = out.splitlines()
+    assert "results.axis[0],1," in rows and "results.axis[1],0," in rows
+    assert "results.cap_direction[1],1," in rows
+    assert "results.cap_depth,1/10,0.1" in rows
+    assert "results.gap,0/1,0.0" in rows
+    code, out = run(
+        capsys, ["strict", "--format", "csv", "--gen", "regular_polygon:8,1000"]
+    )
+    assert code == 1
+    rows = out.splitlines()
+    assert "results.axis[0],1," in rows and "results.axis[1],0," in rows
+    assert "verdicts.mechanism_fired,False," in rows
 
 
 def test_out_file(tmp_path, capsys):
