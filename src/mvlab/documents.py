@@ -12,6 +12,7 @@ from __future__ import annotations
 import hashlib
 import io
 import json
+from decimal import Context, Decimal, localcontext
 from fractions import Fraction
 
 from .errors import MvlabError, ParseError
@@ -119,6 +120,17 @@ def report_json(report: dict) -> str:
     return json.dumps(encode(report), sort_keys=True, indent=2) + "\n"
 
 
+def _decimal(num: int, den: int) -> str:
+    """Lossy decimal cell for num/den: the float repr, or, beyond the float
+    range, 17 significant digits in scientific notation, rounded from the
+    exact integers."""
+    try:
+        return repr(num / den)
+    except OverflowError:
+        with localcontext(Context(prec=17)):
+            return f"{(Decimal(num) / Decimal(den)).normalize():e}"
+
+
 def _flatten(prefix: str, obj, rows: list):
     """Rows for the report value obj: each Fraction is one rational cell,
     and every list or tuple, integer pairs included, is walked by index."""
@@ -133,7 +145,7 @@ def _flatten(prefix: str, obj, rows: list):
             _flatten(f"{prefix}[{i}]", v, rows)
     elif isinstance(obj, Fraction):
         num, den = obj.numerator, obj.denominator
-        rows.append((prefix, f"{num}/{den}", repr(num / den)))
+        rows.append((prefix, f"{num}/{den}", _decimal(num, den)))
     elif obj is None:
         rows.append((prefix, "", ""))
     else:

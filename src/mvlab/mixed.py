@@ -20,8 +20,10 @@ gives V([0,v], K_2,...,K_n) = (|v_k|/n)·V(QK_2,...,QK_n).
 
 The gap and search code in bezout.py uses a third, private evaluator that
 takes exact shortcuts (equal slots, a point slot, the first-variation sum
-over a body's own facets, projection along a segment slot) and falls back
-to polarization; see _mixed_volume_fast.
+over a body's own facets, projection along a segment slot, and Minkowski's
+polynomial in s for V(L, M, K[n-2]), whose values at s = 1, 2, ... are
+first-variation sums over M + sK) and falls back to polarization; see
+_mixed_volume_fast.
 
 Weight convention: a stored atom weight w(z) at a primitive integer normal
 z encodes true-measure(z/||z||) = w(z)·||z||, which keeps every stored value
@@ -54,7 +56,7 @@ from .geometry import (
     support_value,
     _bounded_cache,
 )
-from .linalg import cross_rows, primitive_from_rational, rref, vsub
+from .linalg import cross_rows, primitive_from_rational, rref, solve, vsub
 
 
 @dataclass(frozen=True)
@@ -147,6 +149,11 @@ def _mixed_volume_fast(bodies) -> Fraction:
     - n-1 copies of a full-dimensional K: the first-variation formula
       V(L,K[n-1]) = (1/n)·sum over K's facets of h_L(z)·w(z);
     - a segment slot: projection along it, recursing in dimension n-1;
+    - n-2 copies of a full-dimensional K beside L and M: Minkowski's
+      polynomial V(L,(M+sK)[n-1]) = sum over j of
+      C(n-1,j)·s^(n-1-j)·V(L,M[j],K[n-1-j]), whose values are
+      first-variation sums over M + sK and whose j = 1 coefficient is
+      solved for exactly (see _minkowski_coefficient);
     - otherwise polarization.
 
     Only the gap and search code uses it; public mixed_volume stays the
@@ -160,19 +167,60 @@ def _mixed_volume_fast(bodies) -> Fraction:
         return Fraction(0)
     for K in bodies:
         if K.is_full_dimensional and sum(b == K for b in bodies) == n - 1:
-            L = next(b for b in bodies if b != K)
-            total = sum(
-                (support_value(L, f.normal) * f.normalized_volume for f in K.facets),
-                Fraction(0),
-            )
-            return total / n
+            return _first_variation(next(b for b in bodies if b != K), K)
     for i, S in enumerate(bodies):
         if S.adim == 1:
             a, b = S.vertices
             return _project_segment_slot(
                 vsub(b, a), bodies[:i] + bodies[i + 1 :], _mixed_volume_fast
             )
+    for K in bodies:
+        if K.is_full_dimensional and sum(b == K for b in bodies) == n - 2:
+            L, M = (b for b in bodies if b != K)
+            if not M.is_full_dimensional:
+                L, M = M, L
+            return _minkowski_coefficient(L, M, K)
     return mixed_volume(bodies)
+
+
+def _first_variation(L: Polytope, K: Polytope) -> Fraction:
+    """V(L,K[n-1]) = (1/n)·sum of h_L(z)·w(z) over the facets of a
+    full-dimensional K."""
+    total = sum(
+        (support_value(L, f.normal) * f.normalized_volume for f in K.facets),
+        Fraction(0),
+    )
+    return total / K.dim
+
+
+def _minkowski_coefficient(L: Polytope, M: Polytope, K: Polytope) -> Fraction:
+    """V(L,M,K[n-2]) for a full-dimensional K, by Minkowski's polynomial
+    theorem (Schneider, Convex Bodies, 2nd ed., section 5.1):
+
+        f(s) = V(L,(M+sK)[n-1])
+             = sum over j of C(n-1,j)·s^(n-1-j)·V(L,M[j],K[n-1-j]).
+
+    The s^(n-1) coefficient V(L,K[n-1]) is a first-variation sum over K,
+    and so is the constant V(L,M[n-1]) over M when M is full-dimensional.
+    The unknown coefficients y_j = C(n-1,j)·V(L,M[j],K[n-1-j]) solve
+    f(s) - s^(n-1)·V(L,K[n-1]) - V(L,M[n-1]) = sum of s^(n-1-j)·y_j at
+    s = 1, 2, ..., one value of s per unknown (V(L,M[n-1]) is one of them
+    when M is not full-dimensional). Each f(s) is a first-variation sum
+    over the full-dimensional M + sK, and the matrix s^e, for consecutive
+    exponents e, is a nonsingular scaled Vandermonde matrix. The answer is
+    y_1/(n-1).
+    """
+    n = K.dim
+    full = M.is_full_dimensional
+    lead = _first_variation(L, K)
+    const = _first_variation(L, M) if full else 0
+    unknown = range(1, n - 1 if full else n)
+    rows, rhs = [], []
+    for s in range(1, len(unknown) + 1):
+        f = _first_variation(L, minkowski_sum(M, dilate(K, s)))
+        rows.append([s ** (n - 1 - j) for j in unknown])
+        rhs.append(f - lead * s ** (n - 1) - const)
+    return solve(rows, rhs)[0] / (n - 1)
 
 
 def surface_area_measure(P: Polytope) -> DiscreteMeasure:

@@ -3,12 +3,12 @@ import re
 
 import pytest
 
-from mvlab import bezout
+from mvlab import bezout, mixed
 from mvlab.cli import main
 from mvlab.documents import serialize_polytope
 from mvlab.generators import cube
 from mvlab.geometry import convex_hull
-from mvlab.mixed import mixed_volume
+from mvlab.mixed import clear_caches, mixed_volume
 
 
 def run(capsys, argv):
@@ -159,6 +159,15 @@ def test_af_fuzz_with_fixed_body(capsys):
     assert code == 0
 
 
+def test_af_fuzz_fills_no_polarization_cache(capsys):
+    """Fresh bodies in every sample: af_fuzz's mixed volumes take shortcuts
+    and never store a Minkowski subset sum that no later call reuses."""
+    clear_caches()
+    code, _ = run(capsys, ["af_fuzz", "--samples", "20", "--seed", "5"])
+    assert code == 0
+    assert mixed._subset_sum.cache_info().currsize == 0
+
+
 def test_report_determinism(capsys):
     code1, rep1 = run_json(capsys, ["af_fuzz", "--samples", "5", "--seed", "9"])
     code2, rep2 = run_json(capsys, ["af_fuzz", "--samples", "5", "--seed", "9"])
@@ -182,11 +191,25 @@ def test_search_determinism(capsys):
         ["strict", "--gen", "regular_polygon:64,1000000"],
         ["af_fuzz", "--samples", "6", "--seed", "5"],
         ["af_fuzz", "--samples", "4", "--gen", "cube:3"],
+        ["af_fuzz", "--samples", "4", "--gen", "cube:4"],
+        ["bezout", "--input", "tri3a", "--input", "tri3b", "--gen", "cube:3"],
+        ["bezout", "--input", "tri4a", "--input", "tri4b", "--gen", "simplex:4"],
     ],
 )
-def test_reports_match_polarization(monkeypatch, capsys, argv):
+def test_reports_match_polarization(monkeypatch, capsys, tmp_path, argv):
     """The shortcut evaluator behind the gap and search code leaves each
     report byte-identical, apart from timing_ms, to the polarization one."""
+    triangles = {
+        "tri3a": [(0, 0, 0), (1, 2, 0), (0, 1, 3)],
+        "tri3b": [(1, 0, 0), (0, 0, 2), (2, 1, 1)],
+        "tri4a": [(0, 0, 0, 0), (1, 2, 0, 1), (0, 1, 3, 0)],
+        "tri4b": [(1, 0, 0, 2), (0, 0, 2, 1), (2, 1, 1, 0)],
+    }
+    for name, points in triangles.items():
+        tri = convex_hull(points, len(points[0]), allow_lower=True)
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(serialize_polytope(tri)))
+        argv = [str(path) if a == name else a for a in argv]
 
     def untimed(argv):
         code, out = run(capsys, argv)
@@ -206,6 +229,23 @@ def test_csv_output(capsys):
     lines = out.splitlines()
     assert lines[0] == "field,value,decimal_lossy"
     assert any(line.startswith("results.gap,") for line in lines)
+
+
+def test_csv_beyond_float_range(tmp_path, capsys):
+    """A rational beyond the float range gets a scientific-notation decimal
+    cell instead of an OverflowError; its exact cell is unchanged."""
+    big = 10**170
+    tri = convex_hull([(0, 0), (big, 0), (0, big)], 2)
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(serialize_polytope(tri)))
+    code, out = run(
+        capsys, ["mv", "--input", str(path), "--input", str(path), "--format", "csv"]
+    )
+    assert code == 0
+    rows = out.splitlines()
+    assert f"results.mixed_volume,{big * big // 2}/1,5e+339" in rows
+    assert f"results.measure_oracle,{big * big // 2}/1,5e+339" in rows
+    assert "verdicts.oracle_agrees,True," in rows
 
 
 def test_csv_integer_vectors(capsys):

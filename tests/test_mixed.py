@@ -297,16 +297,41 @@ def test_fast_evaluator_matches_polarization_on_gap_tuples(n, count):
             assert _mixed_volume_fast(bodies) == mixed_volume(bodies)
 
 
+def _n4_pair_tuples(count):
+    """Seeded n=4 [L, M, K, K]: L and M triangles or (n+2)-point hulls, K a
+    random simplex, so the evaluator takes the Minkowski-polynomial case."""
+    rng = random.Random("mvpoly4")
+    for i in range(count):
+        L = rand_body(rng, 4, count=3 if i % 2 else 6)
+        M = rand_body(rng, 4, count=3 if i % 3 else 6)
+        K = rand_affine_simplex(rng, 4)
+        yield [L, M, K, K]
+
+
 def test_fast_evaluator_matches_polarization_on_af_tuples():
     for L, M, rest in _criterion8_triples(60):
         for bodies in ([L, M] + rest, [L, L] + rest, [M, M] + rest):
             assert _mixed_volume_fast(bodies) == mixed_volume(bodies)
+    for bodies in _n4_pair_tuples(6):
+        assert _mixed_volume_fast(bodies) == mixed_volume(bodies)
 
 
 def test_fast_evaluator_branches(monkeypatch):
+    def flat(*points):
+        return convex_hull(points, len(points[0]), allow_lower=True)
+
     seg4 = [seg((0,) * 4, tuple(int(i == j) for j in range(4)), 4) for i in range(2)]
-    tri3 = convex_hull([(0, 0, 0), (1, 2, 0), (0, 1, 3)], 3, allow_lower=True)
-    point3 = convex_hull([(1, 2, 3)], 3, allow_lower=True)
+    tri3 = flat((0, 0, 0), (1, 2, 0), (0, 1, 3))
+    tri3b = flat((1, 0, 0), (0, 0, 2), (2, 1, 1))
+    tri3c = flat((0, 1, 0), (3, 0, 1), (1, 1, 2))
+    tri4 = flat((0, 0, 0, 0), (1, 2, 0, 1), (0, 1, 3, 0))
+    tri4b = flat((1, 0, 0, 2), (0, 0, 2, 1), (2, 1, 1, 0))
+    point3 = flat((1, 2, 3))
+    others4 = [
+        dilate(simplex(4), 2),
+        flat((1, 1, 1, 1), (0, 1, 1, 1), (1, 0, 1, 1), (1, 1, 0, 1), (1, 1, 1, 0)),
+        flat((0, 0, 0, 0), (2, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 3)),
+    ]
     cases = [
         # (bodies, evaluated by polarization)
         ([cube3()] * 3, False),
@@ -315,7 +340,15 @@ def test_fast_evaluator_branches(monkeypatch):
         ([seg((0, 0), (1, 2), 2), seg((1, 0), (0, 3), 2)], False),
         ([seg((0, 0, 0), (1, 1, 2), 3), tri3, cube3()], False),
         (seg4 + [simplex(4)] * 2, False),
-        ([cube3(), simplex(3), cross_polytope(3)], True),
+        # Minkowski polynomial: L, M and n-2 copies of a full-dimensional K;
+        # two flat slots take one more interpolation point
+        ([cube3(), simplex(3), cross_polytope(3)], False),
+        ([tri3, tri3b, cube3()], False),
+        ([tri3, tri3, cube3()], False),
+        ([tri4, tri4b, simplex(4), simplex(4)], False),
+        # no full-dimensional body, or none in n-2 slots
+        ([tri3, tri3b, tri3c], True),
+        ([simplex(4)] + others4, True),
     ]
     for bodies, falls_back in cases:
         expected = mixed_volume(bodies)
