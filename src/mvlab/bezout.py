@@ -34,11 +34,9 @@ from .errors import (
     DegenerateInput,
     DimensionLimit,
     DimensionMismatch,
-    EmptyIntersection,
     EmptyOrFlat,
     InternalCheckError,
     RangeViolation,
-    Unbounded,
 )
 from .geometry import (
     Halfspace,
@@ -49,11 +47,11 @@ from .geometry import (
     project_along,
     support_value,
     vertex_adjacency,
-    vertex_enumeration,
     _bounded_cache,
     _from_points,
+    _shift_facet,
 )
-from .linalg import dot, perfect_nth_root, primitive, primitive_from_rational, rank, solve, vsub
+from .linalg import perfect_nth_root, primitive, primitive_from_rational, vsub
 from .mixed import (
     DiscreteMeasure,
     mixed_area_measure,
@@ -141,89 +139,37 @@ def bezout_gap_general(bodies, delta: Polytope, r: int) -> Fraction:
     return rhs - lhs
 
 
-def _shifted(K: Polytope, facet_index: int, t: Fraction) -> Polytope:
-    facets = facet_structure(K)
-    halfspaces = [
-        Halfspace(f.normal, f.offset + (t if j == facet_index else 0))
-        for j, f in enumerate(facets)
-    ]
-    return vertex_enumeration(halfspaces, K.dim)
-
-
 @_bounded_cache
 def safe_move_range(K: Polytope, facet_index: int):
-    """Certified interval (t_min, 0) u (0, t_max) of bound shifts that keep
-    the primitive facet-normal set of K unchanged.
+    """Certified interval [t_min, t_max] around 0 of bound shifts that keep
+    every facet of K.
 
-    Estimate: track each vertex of the moving facet along its linear
-    trajectory and find the nearest parameter at which it meets a facet
-    hyperplane it does not lie on; halve, then verify the endpoints by
-    explicit vertex enumeration, halving further until verification passes.
-    The interval need not be maximal.
+    With w = h_K(z_i) + h_K(-z_i) the width of K along z_i, t_max is the
+    first of w, w/2, w/4, ... whose move keeps every facet, and t_min the
+    first of -w/2, -w/4, ...; a simplex keeps exactly (-w/2, w). The
+    interval need not be maximal. The ladder ends, since every small enough
+    move keeps every facet; it takes about log2(w / d) rungs, d the
+    distance to the nearest move that loses a facet.
+
+    Checking the two endpoints certifies the whole interval. For
+    0 < lambda < 1, K_{lambda·s} contains lambda·K_s + (1 - lambda)·K facet
+    by facet: that body's support in z_j is at most the j-th bound of
+    K_{lambda·s}, and its face there is lambda·F_j(K_s) + (1 - lambda)·F_j(K),
+    which is (n-1)-dimensional, as both are facets, and lies on that
+    bound's hyperplane. So every z_j stays a facet normal of K_{lambda·s}.
     """
     facets = facet_structure(K)
     if not 0 <= facet_index < len(facets):
         raise BadParams(f"facet index {facet_index} out of range")
+    z = facets[facet_index].normal
+    width = support_value(K, z) + support_value(K, tuple(-c for c in z))
 
-    n = K.dim
-    fi = facets[facet_index]
-    pos_events: list[Fraction] = []
-    neg_events: list[Fraction] = []
-    for vi in fi.vertices:
-        v = K.vertices[vi]
-        tight = [
-            g.normal
-            for j, g in enumerate(facets)
-            if j != facet_index and vi in g.vertices
-        ]
-        chosen: list = []
-        for zn in tight:
-            if rank(chosen + [zn]) == len(chosen) + 1:
-                chosen.append(zn)
-                if len(chosen) == n - 1:
-                    break
-        if len(chosen) < n - 1:
-            continue
-        d = solve([fi.normal] + chosen, [1] + [0] * (n - 1))
-        if d is None:
-            continue
-        for j, g in enumerate(facets):
-            if j == facet_index or vi in g.vertices:
-                continue
-            den = dot(g.normal, d)
-            if den == 0:
-                continue
-            tstar = (g.offset - dot(g.normal, v)) / den
-            (pos_events if tstar > 0 else neg_events).append(tstar)
+    def first_rung(t):
+        while _shift_facet(K, facet_index, t) is None:
+            t /= 2
+        return t
 
-    span = support_value(K, fi.normal) + support_value(
-        K, tuple(-c for c in fi.normal)
-    )
-    t_max = min(pos_events) / 2 if pos_events else span
-    t_min = max(neg_events) / 2 if neg_events else -span / 2
-
-    target = frozenset(g.normal for g in facets)
-
-    def verified(t: Fraction) -> bool:
-        try:
-            Kt = _shifted(K, facet_index, t)
-        except (EmptyIntersection, Unbounded):
-            return False
-        return Kt.adim == n and frozenset(g.normal for g in Kt.facets) == target
-
-    for _ in range(64):
-        if verified(t_max):
-            break
-        t_max /= 2
-    else:
-        raise InternalCheckError("no verifiable positive move range found")
-    for _ in range(64):
-        if verified(t_min):
-            break
-        t_min /= 2
-    else:
-        raise InternalCheckError("no verifiable negative move range found")
-    return t_min, t_max
+    return first_rung(-width / 2), first_rung(width)
 
 
 def move_facet(K: Polytope, spec: MoveSpec) -> Polytope:
@@ -235,10 +181,9 @@ def move_facet(K: Polytope, spec: MoveSpec) -> Polytope:
         raise RangeViolation(
             f"t={t} outside certified range [{t_min}, {t_max}]"
         )
-    Kt = _shifted(K, spec.facet_index, t)
-    target = frozenset(f.normal for f in facet_structure(K))
-    if Kt.adim != K.dim or frozenset(f.normal for f in Kt.facets) != target:
-        raise InternalCheckError("verified range produced a fan change")
+    Kt = _shift_facet(K, spec.facet_index, t)
+    if Kt is None:
+        raise InternalCheckError("certified range produced a fan change")
     return Kt
 
 

@@ -87,7 +87,7 @@ def load_polytope_text(text: str) -> tuple[Polytope, str | None, str]:
     """Parse document text; returns (polytope, optional name, digest)."""
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an over-long integer
         raise ParseError(f"document: invalid JSON ({exc})") from exc
     poly = parse_polytope(doc)
     name = doc.get("name") if isinstance(doc, dict) else None

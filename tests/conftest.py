@@ -16,6 +16,7 @@ settings.register_profile(
 )
 settings.load_profile("mvlab")
 
+from mvlab.generators import random_hull  # noqa: E402
 from mvlab.geometry import convex_hull  # noqa: E402
 from mvlab.linalg import det  # noqa: E402
 
@@ -42,6 +43,17 @@ def rand_full_body(rng, n, count=None, span=3, max_den=2):
         P = rand_body(rng, n, count, span, max_den)
         if P.is_full_dimensional:
             return P
+
+
+def nonsimplex_hull(n, idx):
+    """random_hull(n, n + 3, seed) for the first seed idx, idx + 1000, ...
+    whose hull is not a simplex."""
+    seed = idx
+    while True:
+        P = random_hull(n, n + 3, seed)
+        if len(P.vertices) > n + 1:
+            return P
+        seed += 1000
 
 
 def rand_segment(rng, n, span=3, max_den=2):

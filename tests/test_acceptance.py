@@ -6,7 +6,13 @@ import random
 import time
 from fractions import Fraction
 
-from conftest import mix_body, rand_affine_simplex, rand_body, rand_full_body
+from conftest import (
+    mix_body,
+    nonsimplex_hull,
+    rand_affine_simplex,
+    rand_body,
+    rand_full_body,
+)
 from mvlab.bezout import (
     MoveSpec,
     af_spot_check,
@@ -26,7 +32,6 @@ from mvlab.generators import (
     cross_polytope,
     cube,
     prism,
-    random_hull,
     regular_polygon,
     simplex,
     truncated_simplex,
@@ -169,15 +174,6 @@ def test_criterion_5_support_stability():
     print(f"criterion 5: PASS ({checks} support checks on {len(bodies)} bodies)")
 
 
-def _nonsimplex_hull(n, idx):
-    seed = idx
-    while True:
-        P = random_hull(n, n + 3, seed)
-        if len(P.vertices) > n + 1:
-            return P
-        seed += 1000
-
-
 def test_criterion_6_audit_and_refutation():
     clear_caches()
     for n in (2, 3, 4):
@@ -188,8 +184,8 @@ def test_criterion_6_audit_and_refutation():
         prism(simplex(2), 1),
         truncated_simplex(2, F(1, 4)), truncated_simplex(3, F(1, 3)),
     ]
-    non_simplices += [_nonsimplex_hull(2, i) for i in range(10)]
-    non_simplices += [_nonsimplex_hull(3, 100 + i) for i in range(10)]
+    non_simplices += [nonsimplex_hull(2, i) for i in range(10)]
+    non_simplices += [nonsimplex_hull(3, 100 + i) for i in range(10)]
     for K in non_simplices:
         assert simplex_audit(K).verdict == "non-simplex"
         cert = counterexample_search(K, 10**4)

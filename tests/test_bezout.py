@@ -3,7 +3,13 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import rand_affine_simplex, rand_body, rand_full_body, rand_segment
+from conftest import (
+    nonsimplex_hull,
+    rand_affine_simplex,
+    rand_body,
+    rand_full_body,
+    rand_segment,
+)
 from mvlab.bezout import (
     MoveSpec,
     af_spot_check,
@@ -28,6 +34,7 @@ from mvlab.errors import (
     DegenerateInput,
     DimensionLimit,
     DimensionMismatch,
+    EmptyIntersection,
     EmptyOrFlat,
     RangeViolation,
     ZeroVector,
@@ -46,8 +53,13 @@ from mvlab.geometry import (
     convex_hull,
     dilate,
     facet_structure,
+    interior_point,
+    support_value,
     translate,
+    vertex_enumeration,
+    _shift_facet,
 )
+from mvlab.linalg import dot
 from mvlab.mixed import surface_area_measure, DiscreteMeasure
 
 F = Fraction
@@ -55,6 +67,12 @@ F = Fraction
 
 def seg(a, b, n):
     return convex_hull([a, b], n, allow_lower=True)
+
+
+def square_pyramid():
+    return convex_hull(
+        [(0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 0), (F(1, 2), F(1, 2), 1)], 3
+    )
 
 
 def unit_segs(n):
@@ -166,6 +184,123 @@ def test_move_facet_preserves_fan_random():
         assert {f.normal for f in facet_structure(Kt)} == {
         f.normal for f in facet_structure(K)
         }
+
+
+def _brute_shift(K, i, t):
+    """Reference K_t: public vertex_enumeration of the shifted halfspaces."""
+    return vertex_enumeration(
+        [
+            Halfspace(f.normal, f.offset + (t if j == i else 0))
+            for j, f in enumerate(facet_structure(K))
+        ],
+        K.dim,
+    )
+
+
+def _width(K, i):
+    z = facet_structure(K)[i].normal
+    return support_value(K, z) + support_value(K, tuple(-c for c in z))
+
+
+def _move_bodies():
+    """The bodies of acceptance criteria 5 and 6, cross_polytope(3) and the
+    square pyramid."""
+    rng = random.Random("acc5")
+    bodies = [simplex(2), simplex(3), cube(2), cube(3)]
+    bodies += [rand_full_body(rng, 2) for _ in range(5)]
+    bodies += [rand_full_body(rng, 3) for _ in range(5)]
+    bodies += [
+        simplex(4), cross_polytope(2), cross_polytope(3),
+        prism(simplex(2), 1),
+        truncated_simplex(2, F(1, 4)), truncated_simplex(3, F(1, 3)),
+        square_pyramid(),
+    ]
+    bodies += [nonsimplex_hull(2, i) for i in range(10)]
+    bodies += [nonsimplex_hull(3, 100 + i) for i in range(10)]
+    return bodies
+
+
+def test_shift_facet_matches_brute_force():
+    for K in _move_bodies():
+        normals = {f.normal for f in facet_structure(K)}
+        for i in range(len(facet_structure(K))):
+            t_min, t_max = safe_move_range(K, i)
+            for t in (t_max, t_max / 2, t_min, t_min / 2):
+                Kt = _shift_facet(K, i, t)
+                ref = _brute_shift(K, i, t)
+                assert Kt == ref, (K, i, t)
+                assert Kt.facets == ref.facets and Kt.volume == ref.volume
+                assert {f.normal for f in Kt.facets} == normals
+
+
+def test_shift_facet_centroid_outside():
+    # at t_min = -w/2 the centroid of simplex(2) lies beyond the moved
+    # bound, so the dual centre moves from the centroid toward w
+    K = simplex(2)
+    g = interior_point(K)
+    for i, f in enumerate(facet_structure(K)):
+        t_min, _ = safe_move_range(K, i)
+        assert t_min == -_width(K, i) / 2
+        assert dot(f.normal, g) > f.offset + t_min
+        Kt = _shift_facet(K, i, t_min)
+        assert Kt == _brute_shift(K, i, t_min)
+        assert Kt.volume == K.volume / 4
+
+
+def test_shift_facet_flat_and_empty():
+    for K in (simplex(2), cube(3), cross_polytope(3)):
+        for i in range(len(facet_structure(K))):
+            w = _width(K, i)
+            assert _shift_facet(K, i, -w) is None
+            assert _brute_shift(K, i, -w).adim < K.dim
+            assert _shift_facet(K, i, -2 * w) is None
+            with pytest.raises(EmptyIntersection):
+                _brute_shift(K, i, -2 * w)
+
+
+def test_shift_facet_vanishing_facet():
+    # the cut x_1 <= 3/4 of truncated_simplex(2, 1/4) vanishes at t = 1/4
+    K = truncated_simplex(2, F(1, 4))
+    i = next(j for j, f in enumerate(facet_structure(K)) if f.normal == (1, 0))
+    for t in (F(1, 4), F(1, 2)):
+        assert _shift_facet(K, i, t) is None
+        ref = _brute_shift(K, i, t)
+        assert ref == simplex(2) and len(ref.facets) == 3
+    assert safe_move_range(K, i)[1] == F(3, 16)
+
+
+def test_safe_move_range_ladder():
+    # each end is the first rung of w, w/2, ... or -w/2, -w/4, ... whose
+    # move keeps every facet; a simplex keeps exactly (-w/2, w)
+    for K in _move_bodies():
+        for i in range(len(facet_structure(K))):
+            w = _width(K, i)
+            t_min, t_max = safe_move_range(K, i)
+            for ratio in (w / t_max, -w / 2 / t_min):
+                assert ratio.denominator == 1
+                assert ratio.numerator & (ratio.numerator - 1) == 0
+            if t_max < w:
+                assert _shift_facet(K, i, 2 * t_max) is None
+            if t_min > -w / 2:
+                assert _shift_facet(K, i, 2 * t_min) is None
+            if len(K.vertices) == K.dim + 1:
+                assert (t_min, t_max) == (-w / 2, w)
+
+
+def test_safe_move_range_thin_body():
+    # the cut of truncated_simplex(2, 10^-21) is an edge of length about
+    # 10^-21·sqrt(2): moves that lose it lie 69 and 70 rungs down the
+    # ladders, and the audit still gives a verdict
+    K = truncated_simplex(2, F(1, 10**21))
+    rungs = []
+    for i in range(len(facet_structure(K))):
+        w = _width(K, i)
+        t_min, t_max = safe_move_range(K, i)
+        rungs += [(w / t_max).numerator.bit_length() - 1,
+                  (-w / 2 / t_min).numerator.bit_length() - 1]
+        assert _shift_facet(K, i, t_min) == _brute_shift(K, i, t_min)
+    assert max(rungs) == 70
+    assert simplex_audit(K).verdict == "non-simplex"
 
 
 def test_safe_range_cached():
@@ -402,16 +537,13 @@ def test_facet_move_gap_is_mu():
     # (s/n)·mu_t(z_j), and a nonzero mu_t has atoms of both signs. The
     # cross-polytope and the square pyramid have non-simple vertices, where
     # a move keeps K's facet normals but not its fan.
-    square_pyramid = convex_hull(
-        [(0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 0), (F(1, 2), F(1, 2), 1)], 3
-    )
     bodies = [
         cube(3),
         truncated_simplex(3, F(1, 3)),
         prism(simplex(2), 1),
         random_hull(2, 6, 3),
         cross_polytope(3),
-        square_pyramid,
+        square_pyramid(),
         simplex(3),
     ]
     for K in bodies:

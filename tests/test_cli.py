@@ -1,5 +1,6 @@
 import json
 import re
+import sys
 
 import pytest
 
@@ -248,6 +249,18 @@ def test_csv_beyond_float_range(tmp_path, capsys):
     assert "verdicts.oracle_agrees,True," in rows
 
 
+def test_csv_polytope_values(capsys):
+    # a witness body is flattened into its dim and one row per coordinate
+    code, out = run(capsys, ["search", "--format", "csv", "--gen", "cube:2"])
+    assert code == 0
+    rows = out.splitlines()
+    assert "results.witness_L.dim,2," in rows
+    assert "results.witness_L.vertices[0][0],0/1,0.0" in rows
+    assert "results.witness_L.vertices[1][0],1/1,1.0" in rows
+    assert "results.witness_M.vertices[1][1],1/1,1.0" in rows
+    assert not any(r.startswith("results.witness_L.vertices[2]") for r in rows)
+
+
 def test_csv_integer_vectors(capsys):
     # integer 2-vectors are vectors, not rationals
     code, out = run(capsys, ["strict", "--format", "csv", "--gen", "cube:2"])
@@ -275,6 +288,12 @@ def test_out_file(tmp_path, capsys):
     assert out == ""
     rep = json.loads(target.read_text())
     assert rep["command"] == "mv"
+    # a report that cannot be written is an operation error
+    missing = tmp_path / "missing" / "report.json"
+    assert main(["mv", "--gen", "cube:2", "--gen", "cube:2", "--out", str(missing)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "cannot write report" in captured.err
 
 
 def test_usage_errors(capsys):
@@ -286,10 +305,25 @@ def test_usage_errors(capsys):
     capsys.readouterr()
 
 
-def test_operation_error_report(capsys):
-    code, rep = run_json(capsys, ["audit", "--gen", "cube:2", "--gen", "cube:2"])
-    assert code == 2
-    assert rep["error"]["type"] == "BadArity"
+def test_operation_error_report(tmp_path, capsys):
+    origin_max = tmp_path / "origin_max.json"
+    tri = convex_hull([(0, 0), (-1, 0), (0, -1)], 2)
+    origin_max.write_text(json.dumps(serialize_polytope(tri)))
+    two = ["--gen", "cube:2", "--gen", "cube:2"]
+    for argv, error in (
+        (["audit"] + two, "BadArity"),
+        (["mv"], "BadArity"),
+        (["bezout"] + two, "BadArity"),
+        (["bezout", "--r", "2"] + two, "BadArity"),
+        (["search"] + two, "BadArity"),
+        (["strict"] + two, "BadArity"),
+        (["af_fuzz"] + two, "BadArity"),
+        (["af_fuzz", "--samples", "0"], "BadParams"),
+        (["strict", "--input", str(origin_max)], "BadParams"),
+    ):
+        code, rep = run_json(capsys, argv)
+        assert code == 2, argv
+        assert rep["error"]["type"] == error, argv
 
 
 def test_bad_gen_spec(capsys):
@@ -307,6 +341,7 @@ def test_bad_gen_spec(capsys):
         "random_hull:2,3,x",
         "random_hull:2,3,1/2",
         "random_hull:2,3,1.5",
+        ":3",
     ):
         code, rep = run_json(capsys, ["mv", "--gen", spec])
         assert code == 2, spec
@@ -329,6 +364,19 @@ def test_parse_error_exit(tmp_path, capsys):
     assert code == 2
     assert rep["error"]["type"] == "ParseError"
     assert "zero denominator" in rep["error"]["message"]
+    # an integer over the int/str digit limit (Python 3.11+; 0 = no limit)
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if not limit:
+        return
+    huge = tmp_path / "huge.json"
+    digits = "1" + "0" * limit
+    huge.write_text(
+        '{"dim": 2, "vertices": [[[0, 1], [0, 1]], [[' + digits
+        + ', 1], [0, 1]], [[0, 1], [1, 1]]]}'
+    )
+    code, rep = run_json(capsys, ["mv", "--input", str(huge), "--input", str(huge)])
+    assert code == 2
+    assert rep["error"]["type"] == "ParseError"
 
 
 def test_missing_file(capsys):
