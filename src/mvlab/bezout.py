@@ -4,7 +4,8 @@ The central quantity is the gap
     gap = V(L,K[n-1])·V(M,K[n-1]) - V(L,M,K[n-2])·V_n(K)
 (and its r-body generalization), which is nonnegative for every pair (L,M)
 exactly when K is a simplex. This module provides the gap evaluators, the
-facet-moving deformation K_{t,i} with a certified safe range, cap cuts,
+facet-moving deformation K_{t,i} and its certified safe range (one uncached
+polar-dual hull, geometry._dual_shift, decides each move), cap cuts,
 measure-proportionality and homothety tests, a measure-power identity
 checker, the per-facet simplex audit, and a deterministic counterexample
 search over a finite family: segment pairs along edge directions, then
@@ -47,7 +48,7 @@ from .geometry import (
     project_along,
     support_value,
     vertex_adjacency,
-    _bounded_cache,
+    _dual_shift,
     _from_points,
     _shift_facet,
 )
@@ -139,7 +140,6 @@ def bezout_gap_general(bodies, delta: Polytope, r: int) -> Fraction:
     return rhs - lhs
 
 
-@_bounded_cache
 def safe_move_range(K: Polytope, facet_index: int):
     """Certified interval [t_min, t_max] around 0 of bound shifts that keep
     every facet of K.
@@ -165,7 +165,7 @@ def safe_move_range(K: Polytope, facet_index: int):
     width = support_value(K, z) + support_value(K, tuple(-c for c in z))
 
     def first_rung(t):
-        while _shift_facet(K, facet_index, t) is None:
+        while _dual_shift(K, facet_index, t) is None:
             t /= 2
         return t
 
@@ -173,17 +173,19 @@ def safe_move_range(K: Polytope, facet_index: int):
 
 
 def move_facet(K: Polytope, spec: MoveSpec) -> Polytope:
-    """K_{t,i}: K with the i-th facet bound shifted by t, t inside the
-    certified safe range (so the facet-normal set is preserved)."""
+    """K_{t,i}: K with the i-th facet bound shifted by t. Raises
+    RangeViolation unless K_t keeps every facet normal of K (every t in
+    safe_move_range(K, i) does), and BadParams for i outside 0..F-1."""
+    i = spec.facet_index
+    # checked here: _shift_facet(K, -1, t) would move the last facet
+    if not 0 <= i < len(facet_structure(K)):
+        raise BadParams(f"facet index {i} out of range")
     t = Fraction(spec.t)
-    t_min, t_max = safe_move_range(K, spec.facet_index)
-    if not t_min <= t <= t_max:
-        raise RangeViolation(
-            f"t={t} outside certified range [{t_min}, {t_max}]"
-        )
-    Kt = _shift_facet(K, spec.facet_index, t)
+    Kt = _shift_facet(K, i, t)
     if Kt is None:
-        raise InternalCheckError("certified range produced a fan change")
+        raise RangeViolation(
+            f"moving facet {i} by t={t} loses a facet or flattens or empties K"
+        )
     return Kt
 
 

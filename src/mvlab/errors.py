@@ -30,7 +30,7 @@ class ZeroVector(MvlabError):
 
 
 class RangeViolation(MvlabError):
-    """Facet displacement outside the verified safe range."""
+    """A facet move that loses a facet, or flattens or empties the body."""
 
 
 class EmptyOrFlat(MvlabError):

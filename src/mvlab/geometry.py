@@ -16,7 +16,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
 from itertools import combinations
 
 from .errors import (
@@ -40,24 +39,6 @@ from .linalg import (
 )
 
 DIM_CAP = 4  # polarization cost is 2^n - 1 volumes; keep n small
-
-_CACHES: list = []
-
-
-def _bounded_cache(fn):
-    """fn memoized in a process-global LRU cache of 256 entries, emptied by
-    clear_caches(). Arguments are keyed by value, so Polytope arguments hit
-    on equal vertex lists."""
-    cached = lru_cache(maxsize=256)(fn)
-    _CACHES.append(cached)
-    return cached
-
-
-def clear_caches():
-    """Empty every process-global cache of the package."""
-    for cache in _CACHES:
-        cache.cache_clear()
-
 
 @dataclass(frozen=True)
 class Halfspace:
@@ -215,18 +196,18 @@ def vertex_enumeration(halfspaces, dim: int) -> Polytope:
     return _from_points(candidates, dim)
 
 
-def _shift_facet(K: Polytope, i: int, t) -> Polytope | None:
-    """K_t: full-dimensional K with the bound of its i-th facet shifted by
-    t; None when K_t is flat or empty or has lost a facet.
+def _dual_shift(K: Polytope, i: int, t):
+    """(c, s, hd): hd is the hull, scaled to integers by s, of the polar
+    dual about c of K_t, full-dimensional K with the bound of its i-th
+    facet shifted by t. None when K_t is flat or empty or has lost a facet.
 
     Polar duality about a point c interior to K_t (de Berg et al.,
     *Computational Geometry*, 3rd ed., section 11.4): the constraint
     <z_j, x> <= b_j becomes the point z_j / (b_j - <z_j, c>). Constraint j
     is a facet of K_t exactly when its point is a vertex of the hull of
-    all of them, and each facet {<a, y> = o} of that hull gives the vertex
-    c + a/o of K_t. c lies on the segment from K's lowest vertex w along
-    z_i toward K's vertex centroid, at most halfway up to the moved bound,
-    so it is interior to both K and K_t.
+    all of them. c lies on the segment from K's lowest vertex w along z_i
+    toward K's vertex centroid, at most halfway up to the moved bound, so
+    it is interior to both K and K_t.
     """
     z = K.facets[i].normal
     bound = K.facets[i].offset + t
@@ -248,8 +229,16 @@ def _shift_facet(K: Polytope, i: int, t) -> Polytope | None:
     hd = hull_int(scaled, K.dim)
     if len(hd.vertex_indices) < len(dual):
         return None
-    # the hull is of the points scaled by s, where {<a, y> = o} reads
-    # {<a, y> = o/s} in dual coordinates
+    return c, s, hd
+
+
+def _shift_facet(K: Polytope, i: int, t) -> Polytope | None:
+    """K_t, or None as for _dual_shift. A facet {<a, y> = o} of the dual
+    hull, {<a, y> = o/s} unscaled, gives the vertex c + a·s/o of K_t."""
+    dual = _dual_shift(K, i, t)
+    if dual is None:
+        return None
+    c, s, hd = dual
     verts = [
         tuple(ci + Fraction(a * s, hf.offset) for ci, a in zip(c, hf.normal))
         for hf in hd.facets

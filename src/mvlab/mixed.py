@@ -4,7 +4,7 @@ The polarization evaluator expands n!·V(K_1,...,K_n) by inclusion-exclusion
 over the n slots: sum over nonempty slot subsets S of (-1)^(n-|S|) times the
 volume of the Minkowski sum over S. Repeated slots are summed as dilates
 (K + K = 2K for convex K), and the Minkowski sum of each sorted body tuple
-is kept in a bounded LRU cache (see geometry._bounded_cache), so a subset
+is kept in a bounded LRU cache, emptied by clear_caches, so a subset
 shared by several mixed volumes is usually summed once.
 
 The measure path represents V(L, K_1,...,K_{n-1}) = (1/n) sum of
@@ -34,6 +34,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations, groupby
 from math import factorial
 
@@ -47,14 +48,12 @@ from .errors import (
 from .geometry import (
     DIM_CAP,
     Polytope,
-    clear_caches,  # noqa: F401  re-exported; callers import it from here
     dilate,
     face_in_direction,
     facet_structure,
     minkowski_sum,
     project_along,
     support_value,
-    _bounded_cache,
 )
 from .linalg import cross_rows, primitive_from_rational, rref, solve, vsub
 
@@ -114,7 +113,7 @@ def _checked(bodies, missing: int):
     return bodies, n
 
 
-@_bounded_cache
+@lru_cache(maxsize=256)
 def _subset_sum(bodies: tuple) -> Polytope:
     """Minkowski sum of a tuple of bodies sorted by key; repeated bodies are
     folded as dilates."""
@@ -124,6 +123,11 @@ def _subset_sum(bodies: tuple) -> Polytope:
         part = dilate(body, count) if count > 1 else body
         total = part if total is None else minkowski_sum(total, part)
     return total
+
+
+def clear_caches():
+    """Empty every process-global cache of the package (there is one)."""
+    _subset_sum.cache_clear()
 
 
 def mixed_volume(bodies) -> Fraction:

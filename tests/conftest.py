@@ -1,6 +1,3 @@
-import random
-from fractions import Fraction
-
 from hypothesis import HealthCheck, settings
 
 settings.register_profile(
@@ -16,26 +13,17 @@ settings.register_profile(
 )
 settings.load_profile("mvlab")
 
-from mvlab.generators import random_hull  # noqa: E402
+from mvlab.generators import random_hull, random_points  # noqa: E402
 from mvlab.geometry import convex_hull  # noqa: E402
 from mvlab.linalg import det  # noqa: E402
-
-
-def rand_points(rng, n, count, span=3, max_den=2):
-    return [
-        tuple(
-            Fraction(rng.randrange(-span, span + 1), rng.randrange(1, max_den + 1))
-            for _ in range(n)
-        )
-        for _ in range(count)
-    ]
 
 
 def rand_body(rng, n, count=None, span=3, max_den=2):
     """Small random body; may be lower-dimensional."""
     if count is None:
         count = n + 2
-    return convex_hull(rand_points(rng, n, count, span, max_den), n, allow_lower=True)
+    pts = random_points(rng, n, count, span, max_den)
+    return convex_hull(pts, n, allow_lower=True)
 
 
 def rand_full_body(rng, n, count=None, span=3, max_den=2):
@@ -58,7 +46,7 @@ def nonsimplex_hull(n, idx):
 
 def rand_segment(rng, n, span=3, max_den=2):
     while True:
-        a, b = rand_points(rng, n, 2, span, max_den)
+        a, b = random_points(rng, n, 2, span, max_den)
         if a != b:
             return convex_hull([a, b], n, allow_lower=True)
 
@@ -66,18 +54,11 @@ def rand_segment(rng, n, span=3, max_den=2):
 def rand_affine_simplex(rng, n, span=3, max_den=2):
     """Image of conv{0, e_1..e_n} under a random invertible rational affine map."""
     while True:
-        cols = [
-            [Fraction(rng.randrange(-span, span + 1), rng.randrange(1, max_den + 1))
-             for _ in range(n)]
-            for _ in range(n)
-        ]
+        cols = random_points(rng, n, n, span, max_den)
         if det([[cols[j][i] for j in range(n)] for i in range(n)]) != 0:
             break
-    shift = [
-        Fraction(rng.randrange(-span, span + 1), rng.randrange(1, max_den + 1))
-        for _ in range(n)
-    ]
-    verts = [tuple(shift)] + [
+    (shift,) = random_points(rng, n, 1, span, max_den)
+    verts = [shift] + [
         tuple(c + s for c, s in zip(col, shift)) for col in cols
     ]
     return convex_hull(verts, n)

@@ -10,6 +10,7 @@ from conftest import (
     rand_full_body,
     rand_segment,
 )
+from mvlab import geometry
 from mvlab.bezout import (
     MoveSpec,
     af_spot_check,
@@ -132,6 +133,9 @@ def test_gap_errors():
         bezout_gap_general([sq], sq, 2)
     with pytest.raises(BadArity):
         bezout_gap_general([sq, sq], sq, 5)
+    unit = cube(1)
+    with pytest.raises(DimensionLimit):
+        bezout_gap(unit, unit, unit)
 
 
 # ---------------------------------------------------------------- facet moves
@@ -163,13 +167,33 @@ def test_move_facet_square():
     )
 
 
-def test_move_facet_endpoints_allowed():
+def test_move_facet_accepts_exactly_facet_keeping_moves():
+    # every move that keeps every facet is accepted, inside the certified
+    # range or not; moves that flatten, empty or lose a facet are not
     sq = cube(2)
     t_min, t_max = safe_move_range(sq, 0)
     assert move_facet(sq, MoveSpec(0, t_max)).is_full_dimensional
     assert move_facet(sq, MoveSpec(0, t_min)).is_full_dimensional
+    assert move_facet(sq, MoveSpec(0, 2 * t_max)) == _brute_shift(sq, 0, 2 * t_max)
+    w = _width(sq, 0)
+    for t in (-w, -2 * w):
+        with pytest.raises(RangeViolation):
+            move_facet(sq, MoveSpec(0, t))
+    K = truncated_simplex(2, F(1, 4))
+    i = next(j for j, f in enumerate(facet_structure(K)) if f.normal == (1, 0))
     with pytest.raises(RangeViolation):
-        move_facet(sq, MoveSpec(0, t_max * 2))
+        move_facet(K, MoveSpec(i, F(1, 4)))
+
+
+def test_facet_index_guards():
+    sq = cube(2)
+    for i in (-1, len(facet_structure(sq))):
+        with pytest.raises(BadParams):
+            safe_move_range(sq, i)
+        with pytest.raises(BadParams):
+            move_facet(sq, MoveSpec(i, F(1, 8)))
+        with pytest.raises(BadParams):
+            facet_move_linearity_check(sq, sq, i, F(1, 8))
 
 
 def test_move_facet_preserves_fan_random():
@@ -303,7 +327,23 @@ def test_safe_move_range_thin_body():
     assert simplex_audit(K).verdict == "non-simplex"
 
 
-def test_safe_range_cached():
+def test_safe_move_range_builds_no_body(monkeypatch):
+    # each rung is one dual hull; K_t is built only by move_facet
+    bodies = (cube(3), random_hull(4, 7, 2))
+    calls = []
+    build = geometry._from_points
+    monkeypatch.setattr(
+        geometry, "_from_points", lambda *a: calls.append(a) or build(*a)
+    )
+    for K in bodies:
+        for i in range(len(facet_structure(K))):
+            safe_move_range(K, i)
+    assert calls == []
+    move_facet(bodies[0], MoveSpec(0, F(1, 2)))
+    assert len(calls) == 1
+
+
+def test_safe_range_deterministic():
     tri = simplex(2)
     assert safe_move_range(tri, 0) == safe_move_range(tri, 0)
 

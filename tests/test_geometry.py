@@ -4,21 +4,24 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import rand_body, rand_full_body, rand_points
+from conftest import rand_body, rand_full_body
 from mvlab.errors import (
     BadParams,
     DegenerateInput,
     DimensionLimit,
+    DimensionMismatch,
     EmptyIntersection,
     Unbounded,
     ZeroVector,
 )
+from mvlab.generators import random_points
 from mvlab.geometry import (
     Halfspace,
     clip_halfspace,
     contains_point,
     convex_hull,
     dilate,
+    empty_polytope,
     face_in_direction,
     facet_structure,
     interior_point,
@@ -113,6 +116,12 @@ def test_clip_pentagon():
 def test_clip_noop_and_empty():
     assert clip_halfspace(square(), Halfspace((1, 0), 2)) == square()
     assert clip_halfspace(square(), Halfspace((1, 0), -1)).is_empty
+    E = empty_polytope(2)
+    assert clip_halfspace(E, Halfspace((1, 0), 0)) is E
+    with pytest.raises(ZeroVector):
+        clip_halfspace(square(), Halfspace((0, 0), 1))
+    with pytest.raises(DimensionMismatch):
+        clip_halfspace(square(), Halfspace((1, 0, 0), 1))
 
 
 def test_clip_ge_sense():
@@ -188,6 +197,10 @@ def test_minkowski_triangle_plus_segment():
         sorted([(F(0), F(0)), (F(0), F(1)), (F(1), F(1)), (F(2), F(0))])
     )
     assert s.volume == F(3, 2)
+    assert minkowski_sum(triangle(), empty_polytope(2)).is_empty
+    assert minkowski_sum(empty_polytope(2), seg).is_empty
+    with pytest.raises(DimensionMismatch):
+        minkowski_sum(triangle(), convex_hull([(0, 0, 0), (1, 0, 0)], 3, True))
 
 
 def test_translate_dilate():
@@ -198,6 +211,10 @@ def test_translate_dilate():
     d = dilate(sq, F(3, 2))
     assert d.volume == F(9, 4)
     assert facet_structure(d)[0].normal in [f.normal for f in sq.facets]
+    o = dilate(sq, 0)
+    assert o.adim == 0 and o.vertices == ((F(0), F(0)),)
+    with pytest.raises(BadParams):
+        dilate(sq, -1)
 
 
 def test_interior_and_contains():
@@ -206,6 +223,11 @@ def test_interior_and_contains():
     assert contains_point(sq, c)
     assert contains_point(sq, (0, 0))
     assert not contains_point(sq, (2, 0))
+    seg = convex_hull([(0, 0), (2, 2)], 2, allow_lower=True)
+    assert contains_point(seg, (1, 1))
+    assert not contains_point(seg, (3, 3))  # on its line, beyond an end
+    assert not contains_point(seg, (1, 0))  # off its line
+    assert not contains_point(empty_polytope(2), (0, 0))
 
 
 def test_vertex_adjacency_square():
@@ -216,6 +238,8 @@ def test_vertex_adjacency_square():
         degree[i] += 1
         degree[j] += 1
     assert degree == [2, 2, 2, 2]
+    with pytest.raises(DegenerateInput):
+        vertex_adjacency(convex_hull([(0, 0), (1, 0)], 2, allow_lower=True))
 
 
 def test_project_along_diagonal():
@@ -239,6 +263,8 @@ def test_project_along_axis():
 def test_project_along_zero_direction():
     with pytest.raises(ZeroVector):
         project_along(square(), (0, 0))
+    with pytest.raises(DegenerateInput):
+        project_along(empty_polytope(2), (1, 0))
 
 
 # ---------------------------------------------------------------- properties
@@ -342,7 +368,7 @@ def test_clip_additivity_3d():
 def test_hull_random_contains_all_inputs():
     rng = random.Random("contain")
     for _ in range(10):
-        pts = rand_points(rng, 3, 8)
+        pts = random_points(rng, 3, 8, 3, 2)
         P = convex_hull(pts, 3, allow_lower=True)
         if not P.is_full_dimensional:
             continue

@@ -11,9 +11,15 @@ from conftest import (
     rand_full_body,
     rand_segment,
 )
-from mvlab import bezout, geometry, mixed
-from mvlab.errors import BadArity, DegenerateInput, DimensionLimit, DimensionMismatch
-from mvlab.generators import cross_polytope, cube, simplex
+from mvlab import mixed
+from mvlab.errors import (
+    BadArity,
+    DegenerateInput,
+    DimensionLimit,
+    DimensionMismatch,
+    ZeroVector,
+)
+from mvlab.generators import cross_polytope, simplex
 from mvlab.geometry import Polytope, convex_hull, dilate, minkowski_sum, translate
 from mvlab.mixed import (
     _mixed_volume_fast,
@@ -75,6 +81,8 @@ def test_arity_and_dimension_errors():
         mixed_volume([square(), square(), square()])
     with pytest.raises(DimensionMismatch):
         mixed_volume([square(), cube3()])
+    with pytest.raises(DimensionMismatch):
+        mixed_volume_via_measure(cube3(), [square()])
 
 
 @pytest.mark.parametrize(
@@ -155,6 +163,8 @@ def test_segment_mixed_volume_examples():
     c = cube3()
     assert segment_mixed_volume((0, 0, 1), [c, c]) == F(1, 3)
     assert segment_mixed_volume((1, 1, 1), [c, c]) == 1
+    with pytest.raises(ZeroVector):
+        segment_mixed_volume((0, 0), [triangle()])
 
 
 def test_segment_mixed_volume_matches_polarization():
@@ -253,14 +263,12 @@ def test_measure_scaled():
 
 
 def test_clear_caches_is_safe():
+    # the Minkowski subset-sum cache is the package's only cache
     v1 = mixed_volume([square(), triangle()])
-    bezout.safe_move_range(cube(2), 0)
-    caches = [c.cache_info() for c in geometry._CACHES]
-    assert len(caches) == 2
-    assert all(info.currsize > 0 for info in caches)
-    assert all(info.maxsize is not None for info in caches)
+    info = mixed._subset_sum.cache_info()
+    assert info.currsize > 0 and info.maxsize is not None
     clear_caches()
-    assert all(c.cache_info().currsize == 0 for c in geometry._CACHES)
+    assert mixed._subset_sum.cache_info().currsize == 0
     assert mixed_volume([square(), triangle()]) == v1
 
 
