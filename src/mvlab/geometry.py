@@ -17,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
+from math import lcm
 
 from .errors import (
     DegenerateInput,
@@ -31,6 +32,7 @@ from .hull import hull_int
 from .linalg import (
     dot,
     gcd_vec,
+    primitive_from_rational,
     rank,
     rref,
     scale_to_int,
@@ -63,8 +65,12 @@ class Polytope:
     adim is the affine-hull dimension: adim == dim for full-dimensional
     bodies, lower for faces and projections, -1 for the empty polytope.
     volume is the ambient-dimension volume (0 whenever adim < dim).
-    Equality and hashing use (dim, vertices) alone: the facets and the
-    volume are functions of the vertices.
+    ints = (rows, s) holds the vertices as integer rows over one positive
+    scale, vertices[i] == rows[i] / s, so support values, faces, sums and
+    projections run in integers; s need not be the least such scale, and
+    it is filled from the vertices when not given. Equality and hashing
+    use (dim, vertices) alone: the facets, the volume and ints are
+    functions of the vertices.
     """
 
     dim: int
@@ -72,6 +78,12 @@ class Polytope:
     vertices: tuple
     facets: tuple = field(compare=False)
     volume: Fraction = field(compare=False)
+    ints: tuple = field(default=None, compare=False, repr=False)
+
+    def __post_init__(self):
+        if self.ints is None:
+            rows, s = scale_to_int(self.vertices)
+            object.__setattr__(self, "ints", (tuple(rows), s))
 
     def key(self):
         return (self.dim, self.vertices)
@@ -107,34 +119,43 @@ def empty_polytope(dim: int) -> Polytope:
 
 
 def _from_points(points, dim: int) -> Polytope:
-    """Hull of exact rational points; detects the affine dimension."""
-    pts = sorted(set(points))
-    if not pts:
-        return empty_polytope(dim)
-    if len(pts) == 1:
-        return Polytope(dim, 0, (pts[0],), (), Fraction(0))
-    scaled, s = scale_to_int(pts)
-    r, pivots = _affine_pivots(scaled)
+    """Hull of exact rational points; detects the affine dimension.
+    Clears denominators once and hands over to _from_int_points."""
+    rows, s = scale_to_int(points)
+    return _from_int_points(rows, s, dim)
+
+
+def _from_int_points(rows, s: int, dim: int) -> Polytope:
+    """Hull of the points rows[i] / s, for integer rows and s > 0, built in
+    integers; the body keeps its vertex rows at scale s. At a positive
+    scale, integer rows sort in the lex order of the points."""
+    pts = sorted(set(rows))
+    if len(pts) <= 1:  # empty (adim -1) or one point (adim 0)
+        return _body(dim, len(pts) - 1, tuple(pts), s, (), Fraction(0))
+    r, pivots = _affine_pivots(pts)
     if r < dim:
         # chart: restriction to the pivot coordinates is injective on the
         # affine hull, so the extreme points can be found there
-        chart = [tuple(p[c] for c in pivots) for p in scaled]
+        chart = [tuple(p[c] for c in pivots) for p in pts]
         back = dict(zip(chart, pts))
         hd = hull_int(chart, r)
         verts = tuple(sorted(back[hd.points[i]] for i in hd.vertex_indices))
-        return Polytope(dim, r, verts, (), Fraction(0))
+        return _body(dim, r, verts, s, (), Fraction(0))
 
-    hd = hull_int(scaled, dim)
-    verts = tuple(
-        tuple(Fraction(c, s) for c in hd.points[i]) for i in hd.vertex_indices
-    )
+    hd = hull_int(pts, dim)
     position = {i: k for k, i in enumerate(hd.vertex_indices)}
     facets = []
     for hf in hd.facets:
         incident = tuple(position[i] for i in hf.vertices)
         weight = hf.weight / s ** (dim - 1)
         facets.append(FacetData(hf.normal, Fraction(hf.offset, s), incident, weight))
-    return Polytope(dim, dim, verts, tuple(facets), hd.volume / s**dim)
+    verts = tuple(hd.points[i] for i in hd.vertex_indices)
+    return _body(dim, dim, verts, s, tuple(facets), hd.volume / s**dim)
+
+
+def _body(dim, adim, rows, s, facets, volume) -> Polytope:
+    verts = tuple(tuple(Fraction(c, s) for c in row) for row in rows)
+    return Polytope(dim, adim, verts, facets, volume, (rows, s))
 
 
 def convex_hull(points, dim: int, allow_lower: bool = False) -> Polytope:
@@ -211,8 +232,10 @@ def _dual_shift(K: Polytope, i: int, t):
     """
     z = K.facets[i].normal
     bound = K.facets[i].offset + t
-    w = min(K.vertices, key=lambda v: dot(z, v))
-    low = dot(z, w)
+    rows, s = K.ints
+    lowest = min(range(len(rows)), key=lambda j: dot(z, rows[j]))
+    w = K.vertices[lowest]
+    low = Fraction(dot(z, rows[lowest]), s)
     if bound <= low:
         return None
     g = interior_point(K)
@@ -264,22 +287,33 @@ def facet_structure(P: Polytope):
     return P.facets
 
 
-def support_value(P: Polytope, z) -> Fraction:
-    """max <x, z> over P, for an integer direction z (denominator-cleared
-    support function: equals ||z|| times the unit-normal support value)."""
+def _support_rows(P: Polytope, z):
+    """(<rows_i, z> for each vertex row of P, its scale s), z checked."""
     z = tuple(z)
+    if len(z) != P.dim:
+        raise DimensionMismatch(f"direction of length {len(z)}, expected {P.dim}")
     if not any(z):
         raise ZeroVector("support direction is zero")
     if P.is_empty:
         raise DegenerateInput("support of the empty polytope")
-    return max(dot(z, v) for v in P.vertices)
+    rows, s = P.ints
+    return [dot(z, row) for row in rows], s
+
+
+def support_value(P: Polytope, z) -> Fraction:
+    """max <x, z> over P, for an integer direction z of length P.dim
+    (denominator-cleared support function: equals ||z|| times the
+    unit-normal support value). One integer max over the vertex rows."""
+    vals, s = _support_rows(P, z)
+    return Fraction(max(vals), s)
 
 
 def face_in_direction(P: Polytope, z) -> Polytope:
     """The face P ∩ {<x,z> = max}, as a (usually lower-dimensional) value."""
-    h = support_value(P, z)
-    pts = [v for v in P.vertices if dot(z, v) == h]
-    return _from_points(pts, P.dim)
+    vals, s = _support_rows(P, z)
+    h = max(vals)
+    tied = [row for row, val in zip(P.ints[0], vals) if val == h]
+    return _from_int_points(tied, s, P.dim)
 
 
 def minkowski_sum(P: Polytope, Q: Polytope) -> Polytope:
@@ -287,12 +321,15 @@ def minkowski_sum(P: Polytope, Q: Polytope) -> Polytope:
         raise DimensionMismatch(f"dim {P.dim} vs {Q.dim}")
     if P.is_empty or Q.is_empty:
         return empty_polytope(P.dim)
+    (rp, sp), (rq, sq) = P.ints, Q.ints
+    s = lcm(sp, sq)
+    a, b = s // sp, s // sq
     pts = {
-        tuple(a + b for a, b in zip(p, q))
-        for p in P.vertices
-        for q in Q.vertices
+        tuple(a * x + b * y for x, y in zip(p, q))
+        for p in rp
+        for q in rq
     }
-    return _from_points(pts, P.dim)
+    return _from_int_points(pts, s, P.dim)
 
 
 def translate(P: Polytope, x) -> Polytope:
@@ -319,7 +356,6 @@ def dilate(P: Polytope, lam) -> Polytope:
     if lam == 0:
         origin = tuple(Fraction(0) for _ in range(P.dim))
         return Polytope(P.dim, 0, (origin,), (), Fraction(0))
-    verts = tuple(sorted(tuple(lam * c for c in v) for v in P.vertices))
     facets = tuple(
         FacetData(
             f.normal,
@@ -329,7 +365,10 @@ def dilate(P: Polytope, lam) -> Polytope:
         )
         for f in P.facets
     )
-    return Polytope(P.dim, P.adim, verts, facets, P.volume * lam**P.dim)
+    # lam > 0 keeps the lex order: numerator on the rows, denominator on s
+    rows, s = P.ints
+    rows = tuple(tuple(lam.numerator * c for c in row) for row in rows)
+    return _body(P.dim, P.adim, rows, s * lam.denominator, facets, P.volume * lam**P.dim)
 
 
 def volume(P: Polytope) -> Fraction:
@@ -371,8 +410,10 @@ def project_along(P: Polytope, v):
     Returns (projection, |v_k|). By Cavalieri, vol_n(K + s·[0,v]) =
     vol_n(K) + s·|v_k|·vol_{n-1}(QK) for this oblique projection Q, so
     |v_k|·vol_{n-1}(QK) is the orthogonal projection's volume times ||v||,
-    with no square root. The map is unchanged when v is scaled; along an
-    axis e_k it deletes coordinate k.
+    with no square root. The map is unchanged when v is scaled, so it runs
+    on the primitive integer direction u of v: a vertex row x at scale s
+    maps to the row (x_j·u_k - x_k·u_j)_{j != k} at scale s·|u_k|. Along an
+    axis e_k (u_k = ±1) that deletes coordinate k.
     """
     if P.is_empty:
         raise DegenerateInput("projection of the empty polytope")
@@ -383,13 +424,12 @@ def project_along(P: Polytope, v):
     k = next((i for i, c in enumerate(v) if c), None)
     if k is None:
         raise ZeroVector("projection direction is zero")
-    ratios = [(j, v[j] / v[k]) for j in range(n) if j != k]
-    # zero ratios skip the Fraction arithmetic: axes are the common case
-    pts = [
-        tuple(x[j] - x[k] * r if r else x[j] for j, r in ratios)
-        for x in P.vertices
-    ]
-    return _from_points(pts, n - 1), abs(v[k])
+    u = primitive_from_rational(v)
+    sign = 1 if u[k] > 0 else -1
+    coef = [(j, sign * u[k], sign * u[j]) for j in range(n) if j != k]
+    rows, s = P.ints
+    pts = [tuple(x[j] * a - x[k] * b for j, a, b in coef) for x in rows]
+    return _from_int_points(pts, s * abs(u[k]), n - 1), abs(v[k])
 
 
 def interior_point(P: Polytope) -> tuple[Fraction, ...]:
@@ -397,8 +437,9 @@ def interior_point(P: Polytope) -> tuple[Fraction, ...]:
     otherwise."""
     if P.is_empty:
         raise DegenerateInput("interior point of the empty polytope")
-    m = len(P.vertices)
-    return tuple(sum(col, Fraction(0)) / m for col in zip(*P.vertices))
+    rows, s = P.ints
+    m = len(rows) * s
+    return tuple(Fraction(sum(col), m) for col in zip(*rows))
 
 
 def contains_point(P: Polytope, x) -> bool:

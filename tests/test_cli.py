@@ -1,3 +1,4 @@
+import hashlib
 import json
 import re
 import sys
@@ -6,7 +7,7 @@ import pytest
 
 from mvlab import bezout, mixed
 from mvlab.cli import main
-from mvlab.documents import serialize_polytope
+from mvlab.documents import canonical_json, serialize_polytope
 from mvlab.generators import cube
 from mvlab.geometry import convex_hull
 from mvlab.mixed import clear_caches, mixed_volume
@@ -182,6 +183,35 @@ def test_search_determinism(capsys):
     _, rep1 = run_json(capsys, ["search", "--gen", "cube:2"])
     _, rep2 = run_json(capsys, ["search", "--gen", "cube:2"])
     assert strip_timing(rep1) == strip_timing(rep2)
+
+
+PINNED_REPORTS = [
+    ("audit --gen simplex:3", 0,
+     "c3e26022df88d49dfce69b740d926acd45d528ba91f069f9ed23e5f6721f8f14"),
+    ("audit --gen cube:3", 1,
+     "ff0e55a1e2d5fc0c23301ce56dad25211bf321fafade9cdd72235b609db0543c"),
+    ("audit --gen truncated_simplex:4,1/1000", 1,
+     "912ed84f19a2dbefd86b8e616dc5a0f6a962e26de9660dbde5f4859d0397442d"),
+    ("search --gen cube:3", 0,
+     "ea3fa8ba09b8aed7e3afd139c78c3fd41a7c10d4274c024f126c1bbc56cc296d"),
+    ("strict --gen regular_polygon:64,1000000", 0,
+     "be5459211ad0de97a1743240a897b3f51ae06be5adc5a590fd4df4e2b9edf187"),
+    ("mv --gen cube:3 --gen cross_polytope:3 --gen simplex:3", 0,
+     "7780f8c49eddded15f3165c4827a3ed0740d9e5e3ee44546b9e54981c0ceefe6"),
+    ("af_fuzz --samples 6 --seed 3", 0,
+     "bb432907f94a8bb116ebba69adad8cc6d9f4101838e7d07e06404f91cc9e0c16"),
+]
+
+
+@pytest.mark.parametrize(
+    "command, code, digest", PINNED_REPORTS, ids=[c for c, _, _ in PINNED_REPORTS]
+)
+def test_pinned_report_digests(capsys, command, code, digest):
+    """sha256 of the canonical report without timing_ms, and the exit code:
+    any change to a report's bytes must be deliberate."""
+    got, rep = run_json(capsys, command.split())
+    text = canonical_json(strip_timing(rep))
+    assert (got, hashlib.sha256(text.encode()).hexdigest()) == (code, digest)
 
 
 @pytest.mark.parametrize(

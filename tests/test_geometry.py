@@ -17,6 +17,8 @@ from mvlab.errors import (
 from mvlab.generators import random_points
 from mvlab.geometry import (
     Halfspace,
+    Polytope,
+    _shift_facet,
     clip_halfspace,
     contains_point,
     convex_hull,
@@ -180,6 +182,12 @@ def test_support_values():
     assert support_value(sq, (3, -2)) == 3
     with pytest.raises(ZeroVector):
         support_value(sq, (0, 0))
+    # a short or long direction used to be truncated to the body's length
+    for z in ((1,), (1, 0, 5)):
+        with pytest.raises(DimensionMismatch):
+            support_value(triangle(), z)
+        with pytest.raises(DimensionMismatch):
+            face_in_direction(triangle(), z)
 
 
 def test_face_in_direction():
@@ -265,6 +273,94 @@ def test_project_along_zero_direction():
         project_along(square(), (0, 0))
     with pytest.raises(DegenerateInput):
         project_along(empty_polytope(2), (1, 0))
+
+
+# ---------------------------------------------------------------- integer rows
+
+
+def assert_rows(P):
+    """P.ints = (rows, s): integer rows in lex order, rows[i] / s equal to
+    vertices[i]."""
+    rows, s = P.ints
+    assert type(s) is int and s > 0
+    assert all(type(c) is int for row in rows for c in row)
+    assert list(rows) == sorted(rows)
+    assert tuple(tuple(F(c, s) for c in row) for row in rows) == P.vertices
+
+
+def _third_square():
+    return convex_hull([(0, 0), (F(1, 3), 0), (0, F(1, 3)), (F(1, 3), F(1, 3))], 2)
+
+
+def _half_triangle():
+    return convex_hull([(F(1, 2), 0), (1, F(1, 2)), (0, 1)], 2)
+
+
+def _cube3():
+    return convex_hull([(a, b, c) for a in (0, 1) for b in (0, 1) for c in (0, 1)], 3)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: empty_polytope(2),
+        lambda: convex_hull([(F(1, 2), F(-2, 3))] * 2, 2, allow_lower=True),
+        lambda: convex_hull([(0, 0), (F(1, 2), F(1, 4)), (1, F(1, 2))], 2, True),
+        lambda: convex_hull([(F(1, 2), 0), (0, 1), (1, 1), (F(1, 3), F(1, 2))], 2),
+        lambda: minkowski_sum(_third_square(), _half_triangle()),
+        lambda: dilate(_half_triangle(), 0),
+        lambda: dilate(_half_triangle(), 3),
+        lambda: dilate(_half_triangle(), F(2, 3)),
+        lambda: translate(_half_triangle(), (F(-1, 5), 2)),
+        lambda: project_along(_cube3(), (0, 0, 1))[0],
+        lambda: project_along(_cube3(), (-2, 1, F(1, 2)))[0],
+        lambda: face_in_direction(_half_triangle(), (0, 1)),
+        lambda: face_in_direction(_third_square(), (1, 0)),
+        lambda: clip_halfspace(_half_triangle(), Halfspace((1, 1), F(5, 4))),
+        lambda: vertex_enumeration(
+            [Halfspace((1, 0), F(1, 2)), Halfspace((0, 1), F(2, 3)),
+             Halfspace((-1, -1), 1)], 2
+        ),
+        lambda: _shift_facet(_cube3(), 0, F(1, 3)),
+        lambda: Polytope(2, 0, ((F(1, 2), F(3)),), (), F(0)),
+    ],
+    ids=[
+        "empty", "point", "lower", "full", "minkowski_scales", "dilate_0",
+        "dilate_int", "dilate_p_q", "translate", "project_axis",
+        "project_oblique", "face_vertex", "face_edge", "clip", "enumeration",
+        "shift_facet", "positional",
+    ],
+)
+def test_integer_rows(build):
+    assert_rows(build())
+
+
+def test_integer_rows_reference_images():
+    """The integer paths agree with the Fraction formulas they replace."""
+    A, B = _third_square(), _half_triangle()
+    assert A.ints[1] == 3 and B.ints[1] == 2
+    sums = [tuple(a + b for a, b in zip(p, q)) for p in A.vertices for q in B.vertices]
+    assert minkowski_sum(A, B) == convex_hull(sums, 2)
+    K = _cube3()
+    for v in ((0, 0, 1), (-2, 1, F(1, 2)), (0, F(-3, 2), 1)):
+        k = next(i for i, c in enumerate(v) if c)
+        images = [
+            tuple(x[j] - x[k] * F(v[j]) / v[k] for j in range(3) if j != k)
+            for x in K.vertices
+        ]
+        P, factor = project_along(K, v)
+        assert P == convex_hull(images, 2) and factor == abs(F(v[k]))
+    assert interior_point(B) == tuple(sum(c) / 3 for c in zip(*B.vertices))
+
+
+def test_integer_rows_ignored_by_equality():
+    P = _half_triangle()
+    rows, s = P.ints
+    Q = Polytope(P.dim, P.adim, P.vertices, P.facets, P.volume,
+                 (tuple(tuple(7 * c for c in r) for r in rows), 7 * s))
+    assert Q.ints != P.ints
+    assert Q == P and hash(Q) == hash(P)
+    assert_rows(Q)
 
 
 # ---------------------------------------------------------------- properties
