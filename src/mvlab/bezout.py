@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, islice
+from itertools import combinations
 from typing import NamedTuple, Optional
 
 from .errors import (
@@ -379,12 +379,15 @@ def counterexample_search(K: Polytope, budget: int) -> BezoutCertificate:
             moved.append(move_facet(K, MoveSpec(i, t_min / 2)))
         yield from combinations(moved, 2)
 
+    # counted, not sliced: islice rejects a budget above sys.maxsize
     evaluations = 0
-    for L, M in islice(candidates(), budget):
+    for L, M in candidates():
         evaluations += 1
         cert = bezout_gap(L, M, K)
         if cert.gap < 0:
             return cert
+        if evaluations == budget:
+            break
     raise BudgetExhausted(evaluations)
 
 

@@ -126,6 +126,8 @@ def _cmd_mv(ns, bodies):
 def _cmd_bezout(ns, bodies):
     polys = _polys(bodies)
     if ns.r is not None:
+        if ns.r < 2:
+            raise BadArity(f"--r {ns.r} is below 2")
         if len(polys) != ns.r + 1:
             raise BadArity(
                 f"--r {ns.r} needs {ns.r} bodies plus the reference body last,"

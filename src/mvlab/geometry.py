@@ -30,11 +30,11 @@ from .errors import (
 )
 from .hull import hull_int
 from .linalg import (
+    _eliminate,
     dot,
     gcd_vec,
     primitive_from_rational,
     rank,
-    rref,
     scale_to_int,
     solve,
     vsub,
@@ -110,7 +110,7 @@ def _as_point(p, dim) -> tuple[Fraction, ...]:
 def _affine_pivots(pts):
     """Rank and pivot columns of the difference space of pts."""
     diffs = [vsub(p, pts[0]) for p in pts[1:]]
-    pivots, _ = rref(diffs)
+    pivots, _ = _eliminate(diffs, len(pts[0]))
     return len(pivots), pivots
 
 

@@ -28,14 +28,18 @@ hyperplane. With n = cross_rows(edge vectors), det(rows + [y]) == <n, y>:
 the pyramid over a simplex from points[0] is (offset - <n, points[0]>)/d!,
 and the simplex adds gcd(n)/(d-1)! to its facet's weight Vol_{d-1}/||z||,
 z = n/gcd(n). A facet lists the extreme points of its simplices; a point
-is a vertex exactly when the normals of its facets span R^d.
+is a vertex exactly when the normals of its facets span R^d. That test is
+one determinant in integers: take the first d-1 normals whose cross_rows
+normal N is nonzero; they span a hyperplane, and the normals span R^d iff
+some normal z has <N, z> = det(those d-1 normals + [z]) != 0. A simple
+vertex costs one closed-form cross product and d dot products.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import count
+from itertools import combinations, count
 from math import factorial
 
 from .errors import InternalCheckError
@@ -113,6 +117,15 @@ def _hull_2d(pts) -> HullData:
         tuple(facets),
         Fraction(abs(area2), 2),
     )
+
+
+def _spans(zs, d) -> bool:
+    """Whether the integer vectors zs span R^d, d >= 2 (module docstring)."""
+    for sub in combinations(zs, d - 1):
+        n = cross_rows(sub)
+        if any(n):
+            return any(dot(n, z) for z in zs)
+    return False
 
 
 @dataclass(slots=True)
@@ -223,7 +236,7 @@ def _build(pts, d) -> HullData:
     for (z, _), idxs in on_facet.items():
         for i in idxs:
             normals_at.setdefault(i, []).append(z)
-    vertex = {i for i, zs in normals_at.items() if len(zs) >= d and rank(zs) == d}
+    vertex = {i for i, zs in normals_at.items() if len(zs) >= d and _spans(zs, d)}
 
     out = []
     for (z, c), simplex_list in groups.items():

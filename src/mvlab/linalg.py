@@ -1,9 +1,10 @@
 """Exact linear algebra over integers and fractions.
 
 Everything here is tuned for the tiny dense systems this package needs.
-Determinants up to 3x3, which is all cross_rows needs for the hull
-engine's normals in R^4, are expanded explicitly; larger ones fall back to
-cofactor expansion.
+cross_rows has closed forms up to R^4 (DIM_CAP), the hull engine's normals;
+det expands up to 3x3 explicitly and larger ones by cofactors. Gaussian
+elimination is fraction-free, and runs on integer rows without any
+denominator bookkeeping.
 """
 
 from __future__ import annotations
@@ -43,18 +44,30 @@ def det(rows) -> int | Fraction:
 
 
 def cross_rows(rows):
-    """Normal vector N of the hyperplane spanned by d-1 row vectors in R^d.
+    """Normal vector N of the hyperplane spanned by d-1 row vectors in R^d,
+    d <= 4, in closed form.
 
     Satisfies det(rows + [y]) == dot(N, y) for every row y. Returns the
     zero vector when the rows are linearly dependent.
     """
-    d = len(rows) + 1
-    out = []
-    for k in range(d):
-        sub = [tuple(r[c] for c in range(d) if c != k) for r in rows]
-        minor = det(sub) if sub else 1
-        out.append(minor if (d - 1 + k) % 2 == 0 else -minor)
-    return tuple(out)
+    if not rows:
+        return (1,)
+    if len(rows) == 1:
+        [(a0, a1)] = rows
+        return (-a1, a0)
+    if len(rows) == 2:
+        (a0, a1, a2), (b0, b1, b2) = rows
+        return (a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0)
+    (a0, a1, a2, a3), (b0, b1, b2, b3), (c0, c1, c2, c3) = rows
+    # the six 2x2 minors of the last two rows, shared by the four 3x3 ones
+    m01, m02, m03 = b0 * c1 - b1 * c0, b0 * c2 - b2 * c0, b0 * c3 - b3 * c0
+    m12, m13, m23 = b1 * c2 - b2 * c1, b1 * c3 - b3 * c1, b2 * c3 - b3 * c2
+    return (
+        a2 * m13 - a1 * m23 - a3 * m12,
+        a0 * m23 - a2 * m03 + a3 * m02,
+        a1 * m03 - a0 * m13 - a3 * m01,
+        a0 * m12 - a1 * m02 + a2 * m01,
+    )
 
 
 def gcd_vec(v) -> int:
@@ -85,14 +98,17 @@ def primitive_from_rational(v):
 def _eliminate(rows, ncols) -> tuple[list[int], list[list[int]]]:
     """Fraction-free (Bareiss 1968) Gauss-Jordan elimination over the first
     ncols columns, after scaling each row to coprime integers, which keeps
-    the row space and keeps differences of denominator-cleared points small.
-    Returns (pivots, rows): row i leads in column pivots[i], every other
-    pivot column is zero in it, and all pivot entries are equal. Each entry
-    stays a minor of the scaled matrix, so every division is exact."""
+    the row space and keeps differences of denominator-cleared points small
+    (integer rows skip the denominators). Returns (pivots, rows): row i
+    leads in column pivots[i], every other pivot column is zero in it, and
+    all pivot entries are equal. Each entry stays a minor of the scaled
+    matrix, so every division is exact."""
     mat = []
     for row in rows:
-        m = lcm(*(x.denominator for x in row))
-        mat.append(list(primitive([x.numerator * (m // x.denominator) for x in row])))
+        if not all(type(x) is int for x in row):
+            m = lcm(*(x.denominator for x in row))
+            row = [x.numerator * (m // x.denominator) for x in row]
+        mat.append(list(primitive(row)))
     pivots: list[int] = []
     prev = 1
     for c in range(ncols):
@@ -144,8 +160,12 @@ def common_denominator(points) -> int:
 
 def scale_to_int(points):
     """Clear denominators: returns (integer point tuples, scale s) with p_int = s*p."""
-    s = common_denominator(points)
-    return [tuple(int(x * s) for x in p) for p in points], s
+    try:
+        s = lcm(*(x.denominator for p in points for x in p))
+    except AttributeError:  # floats and other numbers that are not Rational
+        points = [tuple(map(Fraction, p)) for p in points]
+        s = common_denominator(points)
+    return [tuple(x.numerator * (s // x.denominator) for x in p) for p in points], s
 
 
 def perfect_nth_root(x: Fraction, k: int):

@@ -106,21 +106,29 @@ def test_audit_report_shape(capsys):
     assert all(r["proportional"] for r in rep["results"]["facets"])
 
 
+# a budget beyond sys.maxsize is valid: the family is finite
+HUGE_BUDGET = 10**23 - 1
+
+
 def test_search_found(capsys):
-    code, rep = run_json(capsys, ["search", "--gen", "cube:2", "--budget", "500"])
-    assert code == 0
-    assert rep["results"]["found"] is True
-    assert rep["results"]["gap"] == [-1, 4]
-    assert rep["results"]["witness_L"]["dim"] == 2
-    assert rep["verdicts"]["verdict"] == "violated"
+    for budget in (500, HUGE_BUDGET):
+        argv = ["search", "--gen", "cube:2", "--budget", str(budget)]
+        code, rep = run_json(capsys, argv)
+        assert code == 0
+        assert rep["results"]["found"] is True
+        assert rep["results"]["gap"] == [-1, 4]
+        assert rep["results"]["witness_L"]["dim"] == 2
+        assert rep["verdicts"]["verdict"] == "violated"
 
 
 def test_search_exhausted(capsys):
-    code, rep = run_json(capsys, ["search", "--gen", "simplex:2", "--budget", "60"])
-    assert code == 1
-    # the 2D family holds 18 pairs, fewer than the budget
-    assert rep["results"] == {"found": False, "budget": 60, "evaluations": 18}
-    assert rep["verdicts"]["verdict"] == "exhausted"
+    for budget in (60, HUGE_BUDGET):
+        argv = ["search", "--gen", "simplex:2", "--budget", str(budget)]
+        code, rep = run_json(capsys, argv)
+        assert code == 1
+        # the 2D family holds 18 pairs, fewer than the budget
+        assert rep["results"] == {"found": False, "budget": budget, "evaluations": 18}
+        assert rep["verdicts"]["verdict"] == "exhausted"
 
 
 def test_strict_polygon_fires(capsys):
@@ -345,6 +353,8 @@ def test_operation_error_report(tmp_path, capsys):
         (["mv"], "BadArity"),
         (["bezout"] + two, "BadArity"),
         (["bezout", "--r", "2"] + two, "BadArity"),
+        (["bezout", "--r", "-1"], "BadArity"),
+        (["bezout", "--r", "1"] + two, "BadArity"),
         (["search"] + two, "BadArity"),
         (["strict"] + two, "BadArity"),
         (["af_fuzz"] + two, "BadArity"),

@@ -5,10 +5,11 @@ import hashlib
 from fractions import Fraction as F
 from itertools import combinations, product
 
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from mvlab.generators import cross_polytope, cube, generate
 from mvlab.geometry import convex_hull, dilate, minkowski_sum, translate
+from mvlab.hull import _spans
 from mvlab.linalg import cross_rows, dot, primitive_from_rational, rank, vsub
 
 
@@ -166,6 +167,40 @@ def _brute_force(pts, d):
         p for p in pts if rank([z for z, c in planes if dot(z, p) == c]) == d
     }
     return planes, vertices
+
+
+@st.composite
+def normal_sets(draw):
+    """Integer vectors in R^d, d = 2..4, drawn from the span of k <= d
+    generators: combinations (zero included), repeats and negations, so
+    dependent subsets, +-z pairs and rank-(d-1) sets of more than d vectors
+    are common."""
+    d = draw(st.integers(min_value=2, max_value=4))
+    k = draw(st.integers(min_value=1, max_value=d))
+    gens = draw(st.lists(st.tuples(*[coord] * d), min_size=k, max_size=k))
+    zs = []
+    for _ in range(draw(st.integers(min_value=1, max_value=3 * d))):
+        kind = draw(st.sampled_from(["combine", "repeat", "negate"]))
+        if kind == "combine" or not zs:
+            cs = draw(st.lists(st.integers(-2, 2), min_size=k, max_size=k))
+            zs.append(tuple(sum(c * g[j] for c, g in zip(cs, gens)) for j in range(d)))
+        else:
+            z = draw(st.sampled_from(zs))
+            zs.append(z if kind == "repeat" else tuple(-x for x in z))
+    return d, zs
+
+
+# the facet normals at an edge midpoint of 2*cross(4), with and without two
+# more normals of rank 3, and +-z pairs in R^3
+@example((4, [(1, 1, a, b) for a, b in product((1, -1), repeat=2)]))
+@example((4, [(1, 1, a, b) for a, b in product((1, -1, 2), repeat=2)][:6]))
+@example((3, [(1, 0, 0), (-1, 0, 0), (0, 2, 1), (0, -2, -1)]))
+@example((3, [(1, 0, 0), (-1, 0, 0), (0, 2, 1), (0, 0, 1)]))
+@given(normal_sets())
+def test_spans_matches_rank(case):
+    # the hull's determinant vertex test against the elimination rank
+    d, zs = case
+    assert _spans(zs, d) == (rank(zs) == d)
 
 
 @settings(max_examples=80)

@@ -41,12 +41,26 @@ def test_det_row_swap_sign():
     assert det(swapped) == -det(rows)
 
 
-@given(st.lists(st.lists(frac, min_size=3, max_size=3), min_size=2, max_size=2),
-       st.lists(frac, min_size=3, max_size=3))
-def test_cross_rows_convention(rows, y):
+@st.composite
+def cross_cases(draw):
+    """d-1 rows and a row y in R^d, d = 1..4, all-int or mixing Fractions."""
+    d = draw(st.integers(min_value=1, max_value=4))
+    small = st.integers(min_value=-9, max_value=9)
+    entry = small if draw(st.booleans()) else st.one_of(frac, small)
+    vec = st.lists(entry, min_size=d, max_size=d)
+    return draw(st.lists(vec, min_size=d - 1, max_size=d - 1)), draw(vec)
+
+
+@given(cross_cases())
+def test_cross_rows_convention(case):
     """det(rows + [y]) == <cross_rows(rows), y> in every dimension."""
+    rows, y = case
     n = cross_rows(rows)
+    assert len(n) == len(y)
     assert det(rows + [y]) == dot(n, y)
+    if len(rows) > 1:
+        # dependent rows give the zero vector
+        assert not any(cross_rows(rows[:-1] + [[2 * x for x in rows[0]]]))
 
 
 def test_cross_rows_2d():
@@ -98,6 +112,14 @@ def test_solve_singular():
 def test_scale_to_int():
     pts, s = scale_to_int([(Fraction(1, 2), Fraction(1, 3))])
     assert s == 6 and pts == [(3, 2)]
+    # mixed int, Fraction and (dyadic) float coordinates
+    pts, s = scale_to_int([(1, Fraction(1, 3), 0.5), (-0.75, -2, Fraction(-5, 6))])
+    assert s == 12 and pts == [(12, 4, 6), (-9, -24, -10)]
+    assert all(type(x) is int for p in pts for x in p)
+    assert scale_to_int([]) == ([], 1)
+    # exact where a float product s * 0.1 would round: s = 3 * 2**55
+    (row,), s = scale_to_int([(0.1, Fraction(1, 3))])
+    assert Fraction(row[0], s) == Fraction(0.1) and Fraction(row[1], s) == Fraction(1, 3)
     assert common_denominator([(Fraction(1, 4), Fraction(3, 2))]) == 4
 
 
