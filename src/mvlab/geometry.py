@@ -14,6 +14,7 @@ offset(z) = max <x, z> and normalized_volume = Vol_{n-1}(facet)/||z||.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
@@ -31,12 +32,10 @@ from .errors import (
 from .hull import hull_int
 from .linalg import (
     _eliminate,
+    cross_rows,
     dot,
-    gcd_vec,
     primitive_from_rational,
-    rank,
     scale_to_int,
-    solve,
     vsub,
 )
 
@@ -181,6 +180,14 @@ def convex_hull(points, dim: int, allow_lower: bool = False) -> Polytope:
 def vertex_enumeration(halfspaces, dim: int) -> Polytope:
     """Bounded intersection of halfspaces, by brute force over n-subsets.
 
+    Each normal is scaled to a primitive integer vector, and its bound by
+    the same positive factor. The bounds are cleared once over a common
+    denominator D, so every n-subset is solved by Cramer's rule in
+    integers: with C_j the cofactor vector of row j (orthogonal to the
+    other rows, <C_j, a_j> = det), det·D·x = X = sum_j D·b_j·C_j. The point
+    is feasible iff <z, X> <= D·b_z·det for every constraint (det > 0), and
+    only feasible points become Fractions.
+
     Guard: at most 128 halfspaces (the subset count is binomial in the
     input size).
     """
@@ -190,28 +197,40 @@ def vertex_enumeration(halfspaces, dim: int) -> Polytope:
         raise BadParams("more than 128 halfspaces")
     tight: dict[tuple[int, ...], Fraction] = {}
     for h in halfspaces:
-        z, b = h.normal, h.bound
+        z = h.normal
         if not any(z):
             raise ZeroVector("halfspace with zero normal")
         if len(z) != dim:
             raise DimensionMismatch("halfspace normal length mismatch")
-        g = gcd_vec(z)
-        z = tuple(c // g for c in z)
-        b = Fraction(b) / g
-        if z not in tight or b < tight[z]:
-            tight[z] = b
+        u = primitive_from_rational(z)
+        k = next(k for k, c in enumerate(z) if c)
+        b = Fraction(h.bound) * u[k] / z[k]  # u = z·(u[k]/z[k]), a positive factor
+        if u not in tight or b < tight[u]:
+            tight[u] = b
     normals = sorted(tight)
 
     if not _origin_interior(normals, dim):
         raise Unbounded("constraint normals do not positively span R^n")
 
+    D = lcm(*(b.denominator for b in tight.values()))
+    rows = [(z, tight[z].numerator * (D // tight[z].denominator)) for z in normals]
     candidates = set()
-    for subset in combinations(normals, dim):
-        x = solve(list(subset), [tight[z] for z in subset])
-        if x is None:
+    for subset in combinations(rows, dim):
+        a = [z for z, _ in subset]
+        # <cross_rows(rows without j), a_j> is det(a) with row j moved
+        # last, dim-1-j row swaps away
+        cof = [
+            tuple((-1) ** (dim - 1 - j) * c for c in cross_rows(a[:j] + a[j + 1 :]))
+            for j in range(dim)
+        ]
+        det = dot(cof[-1], a[-1])
+        if det == 0:
             continue
-        if all(dot(z, x) <= tight[z] for z in normals):
-            candidates.add(x)
+        X = [sum(bj * C[i] for (_, bj), C in zip(subset, cof)) for i in range(dim)]
+        if det < 0:
+            det, X = -det, [-c for c in X]
+        if all(dot(z, X) <= bz * det for z, bz in rows):
+            candidates.add(tuple(Fraction(c, det * D) for c in X))
     if not candidates:
         raise EmptyIntersection("halfspace intersection is empty")
     return _from_points(candidates, dim)
@@ -376,7 +395,15 @@ def volume(P: Polytope) -> Fraction:
 
 
 def clip_halfspace(P: Polytope, h: Halfspace) -> Polytope:
-    """Exact intersection P ∩ h; may be empty or lower-dimensional."""
+    """Exact intersection P ∩ h; may be empty or lower-dimensional.
+
+    Its vertices are P's vertices in h and the crossings of the bounding
+    hyperplane with the segments from a vertex strictly below it to one
+    strictly above. For full-dimensional P only P's edges
+    (vertex_adjacency) are crossed. A lower-dimensional P carries no facet
+    incidence, so every such chord is crossed: each lies in P, so its
+    crossing is in the clip, and the hull drops the interior ones.
+    """
     z, b = h.normal, h.bound
     if len(z) != P.dim:
         raise DimensionMismatch("halfspace normal length mismatch")
@@ -387,17 +414,18 @@ def clip_halfspace(P: Polytope, h: Halfspace) -> Polytope:
     vals = [dot(z, v) for v in P.vertices]
     if all(val <= b for val in vals):
         return P
-    kept = [v for v, val in zip(P.vertices, vals) if val <= b]
-    cut = [(v, val) for v, val in zip(P.vertices, vals) if val > b]
-    if not kept:
+    pts = {v for v, val in zip(P.vertices, vals) if val <= b}
+    if not pts:
         return empty_polytope(P.dim)
-    pts = set(kept)
-    # chord crossings suffice: every kept-to-cut segment lies in P, so its
-    # crossing point is in the clip; edge crossings are among them and the
-    # hull reduction removes the interior extras
-    for v, val in ((v, val) for v, val in zip(P.vertices, vals) if val < b):
-        for w, wal in cut:
-            t = (b - val) / (wal - val)
+    side = [(val > b) - (val < b) for val in vals]
+    if P.is_full_dimensional:
+        pairs = vertex_adjacency(P)
+    else:
+        pairs = combinations(range(len(vals)), 2)
+    for i, j in pairs:
+        if side[i] * side[j] < 0:
+            v, w = P.vertices[i], P.vertices[j]
+            t = (b - vals[i]) / (vals[j] - vals[i])
             pts.add(tuple(a + t * (c - a) for a, c in zip(v, w)))
     return _from_points(pts, P.dim)
 
@@ -454,20 +482,20 @@ def contains_point(P: Polytope, x) -> bool:
 
 
 def vertex_adjacency(P: Polytope):
-    """Edges of a full-dimensional polytope: vertex pairs whose common
-    facet set has normals of rank n-1."""
+    """Edges of a full-dimensional polytope: the vertex pairs on at least
+    n-1 common facets, as index pairs (i, j), i < j, in lex order.
+
+    The facets through two vertices are those through the smallest face F
+    that holds both. An edge lies on at least n-1 facets. For n <= 4
+    (DIM_CAP) a larger F lies on fewer: P itself on none, a facet on one,
+    and a face of dimension n-2 on exactly two (Ziegler, *Lectures on
+    Polytopes*, section 2.3), fewer than n-1 = 3 at n = 4.
+    """
     if not P.is_full_dimensional:
         raise DegenerateInput("adjacency requires a full-dimensional polytope")
-    n = P.dim
-    incident = [set() for _ in P.vertices]
-    for fi, f in enumerate(P.facets):
-        for vi in f.vertices:
-            incident[vi].add(fi)
-    edges = []
-    for i, j in combinations(range(len(P.vertices)), 2):
-        shared = incident[i] & incident[j]
-        if len(shared) >= n - 1:
-            normals = [P.facets[fi].normal for fi in shared]
-            if rank(normals) == n - 1:
-                edges.append((i, j))
-    return tuple(edges)
+    if P.dim == 1:  # the one edge is P, which lies on no facet
+        return ((0, 1),)
+    common = Counter(
+        pair for f in P.facets for pair in combinations(sorted(f.vertices), 2)
+    )
+    return tuple(sorted(pair for pair, k in common.items() if k >= P.dim - 1))

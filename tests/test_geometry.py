@@ -1,8 +1,9 @@
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import rand_body, rand_full_body
 from mvlab.errors import (
@@ -14,7 +15,7 @@ from mvlab.errors import (
     Unbounded,
     ZeroVector,
 )
-from mvlab.generators import random_points
+from mvlab.generators import cross_polytope, cube, random_points
 from mvlab.geometry import (
     Halfspace,
     Polytope,
@@ -35,6 +36,7 @@ from mvlab.geometry import (
     vertex_enumeration,
     volume,
 )
+from mvlab.linalg import dot, rank
 
 F = Fraction
 
@@ -146,6 +148,19 @@ def test_vertex_enumeration_square():
     hs[0] = Halfspace((2, 0), 1)
     half = convex_hull([(0, 0), (F(1, 2), 0), (0, 1), (F(1, 2), 1)], 2)
     assert vertex_enumeration(hs, 2) == half
+
+
+def test_vertex_enumeration_rational_normals():
+    # each normal scales to primitive form, and its bound by the same factor
+    hs = [
+        Halfspace((F(1, 2), 0), F(1, 2)), Halfspace((F(-2, 3), 0), 0),
+        Halfspace((0, F(3, 4)), F(3, 4)), Halfspace((0, -1), 0),
+    ]
+    assert vertex_enumeration(hs, 2) == square()
+    # x/2 <= 1 is x <= 2
+    hs[0] = Halfspace((F(1, 2), 0), 1)
+    wide = convex_hull([(0, 0), (2, 0), (0, 1), (2, 1)], 2)
+    assert vertex_enumeration(hs, 2) == wide
 
 
 def test_vertex_enumeration_unbounded():
@@ -469,3 +484,103 @@ def test_hull_random_contains_all_inputs():
         if not P.is_full_dimensional:
             continue
         assert all(contains_point(P, p) for p in pts)
+
+
+# ---------------------------------------------------------------- integer cuts
+# clip_halfspace crosses only P's edges, vertex_adjacency counts common
+# facets and vertex_enumeration solves by integer Cramer's rule; the
+# all-chords clip and the rank edge test below are their references.
+
+
+def _clip_all_chords(P, h):
+    """Reference clip: the hull of the kept vertices and of every crossing
+    of a chord from a vertex strictly below the bound to one strictly
+    above, in Fractions."""
+    z, b = h.normal, h.bound
+    vals = [dot(z, v) for v in P.vertices]
+    pts = {v for v, val in zip(P.vertices, vals) if val <= b}
+    if not pts:
+        return empty_polytope(P.dim)
+    for v, val in zip(P.vertices, vals):
+        for w, wal in zip(P.vertices, vals):
+            if val < b < wal:
+                t = (b - val) / (wal - val)
+                pts.add(tuple(a + t * (c - a) for a, c in zip(v, w)))
+    return convex_hull(pts, P.dim, allow_lower=True)
+
+
+def _adjacency_by_rank(P):
+    """Reference edges: vertex pairs whose common facets have normals of
+    rank n-1."""
+    incident = [
+        {fi for fi, f in enumerate(P.facets) if vi in f.vertices}
+        for vi in range(len(P.vertices))
+    ]
+    return tuple(
+        (i, j)
+        for i, j in combinations(range(len(P.vertices)), 2)
+        if rank([P.facets[fi].normal for fi in incident[i] & incident[j]])
+        == P.dim - 1
+    )
+
+
+def _cut_body(n, kind, seed):
+    """cube(n), cross_polytope(n), or a seeded hull: of rational points
+    ("full"), of lattice points in [-2, 2]^n, which have many vertices on
+    more than n facets ("lattice"), or of points in the hyperplane
+    x_n = x_1, lower-dimensional for n >= 2 ("flat")."""
+    rng = random.Random(f"cut:{n}:{kind}:{seed}")
+    if kind == "cube":
+        return cube(n)
+    if kind == "cross":
+        return cross_polytope(n)
+    if kind == "full":
+        return rand_full_body(rng, n)
+    if kind == "lattice":
+        return rand_full_body(rng, n, count=n + 3, span=2, max_den=1)
+    pts = random_points(rng, n, n + 3, 3, 2)
+    return convex_hull([p[:-1] + (p[0],) for p in pts], n, allow_lower=True)
+
+
+cut_dims = st.integers(1, 4)
+seeds = st.integers(0, 10**6)
+
+
+@given(cut_dims, st.sampled_from(["full", "lattice", "flat"]), seeds, st.booleans())
+@example(4, "cube", 0, True)
+@example(4, "cube", 1, False)
+@example(4, "cross", 0, True)
+@example(4, "cross", 1, False)
+def test_clip_matches_all_chords(n, kind, seed, through_vertex):
+    rng = random.Random(f"clip:{seed}")
+    P = _cut_body(n, kind, seed)
+    z = (0,) * n
+    while not any(z):
+        z = tuple(rng.randrange(-3, 4) for _ in range(n))
+    if through_vertex:
+        b = dot(z, rng.choice(P.vertices))
+    else:
+        b = F(rng.randrange(-4, 5), rng.randrange(1, 4))
+    h = Halfspace(z, b)
+    got, ref = clip_halfspace(P, h), _clip_all_chords(P, h)
+    assert got == ref and got.adim == ref.adim
+    assert set(got.facets) == set(ref.facets) and got.volume == ref.volume
+
+
+@given(cut_dims, st.sampled_from(["full", "lattice"]), seeds)
+@example(4, "cube", 0)
+@example(4, "cross", 0)
+def test_vertex_adjacency_matches_rank(n, kind, seed):
+    P = _cut_body(n, kind, seed)
+    assert vertex_adjacency(P) == _adjacency_by_rank(P)
+
+
+@given(st.integers(3, 4), st.sampled_from(["full", "lattice"]), seeds)
+@example(4, "cube", 0)
+@example(4, "cross", 0)
+def test_round_trip_via_enumeration_nd(n, kind, seed):
+    """Facets of lattice bodies and of cross_polytope(4) give singular
+    n-subsets and vertices on more than n facets."""
+    P = _cut_body(n, kind, seed)
+    Q = vertex_enumeration([Halfspace(f.normal, f.offset) for f in P.facets], n)
+    assert Q == P and set(Q.facets) == set(P.facets) and Q.volume == P.volume
