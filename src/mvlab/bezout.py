@@ -7,9 +7,10 @@ exactly when K is a simplex. This module provides the gap evaluators, the
 facet-moving deformation K_{t,i} and its certified safe range (one uncached
 polar-dual hull, geometry._dual_shift, decides each move), cap cuts,
 measure-proportionality and homothety tests, a measure-power identity
-checker, the per-facet simplex audit, and a deterministic counterexample
-search over a finite family: segment pairs along edge directions, then
-pairs of facet-moved copies of K.
+checker, the per-facet simplex audit (it reads homothety of K_{t,i} and K
+off K's support numbers, with no moved body built), and a deterministic
+counterexample search over a finite family: segment pairs along edge
+directions, then pairs of facet-moved copies of K.
 
 Every mixed volume here goes through mixed._mixed_volume_fast, which takes
 exact shortcuts and falls back to polarization; its values equal public
@@ -44,7 +45,6 @@ from .geometry import (
     Polytope,
     clip_halfspace,
     facet_structure,
-    interior_point,
     project_along,
     support_value,
     vertex_adjacency,
@@ -52,7 +52,7 @@ from .geometry import (
     _from_points,
     _shift_facet,
 )
-from .linalg import perfect_nth_root, primitive, primitive_from_rational, vsub
+from .linalg import primitive_from_rational, rank, vsub
 from .mixed import (
     DiscreteMeasure,
     mixed_area_measure,
@@ -146,10 +146,11 @@ def safe_move_range(K: Polytope, facet_index: int):
 
     With w = h_K(z_i) + h_K(-z_i) the width of K along z_i, t_max is the
     first of w, w/2, w/4, ... whose move keeps every facet, and t_min the
-    first of -w/2, -w/4, ...; a simplex keeps exactly (-w/2, w). The
-    interval need not be maximal. The ladder ends, since every small enough
-    move keeps every facet; it takes about log2(w / d) rungs, d the
-    distance to the nearest move that loses a facet.
+    first of -w/2, -w/4, .... The interval need not be maximal: a simplex
+    keeps every t in (-w, oo), and its ladders stop at their first rungs,
+    [-w/2, w]. A ladder ends, since every small enough move keeps every
+    facet; it takes about log2(w / d) rungs, d the distance to the nearest
+    move that loses a facet.
 
     Checking the two endpoints certifies the whole interval. For
     0 < lambda < 1, K_{lambda·s} contains lambda·K_s + (1 - lambda)·K facet
@@ -194,7 +195,7 @@ def cap_cut(K: Polytope, z, eps) -> Polytope:
     eps = Fraction(eps)
     if eps <= 0:
         raise BadParams("cap depth must be positive")
-    z = primitive(tuple(z))
+    z = primitive_from_rational(tuple(z))
     bound = support_value(K, z) - eps
     P = clip_halfspace(K, Halfspace(z, bound))
     if P.adim < K.dim:
@@ -237,28 +238,23 @@ def measures_proportional(a: DiscreteMeasure, b: DiscreteMeasure):
 
 
 def homothety_check(K: Polytope, P: Polytope):
-    """Scale lambda with P = lambda·K + x, or None.
+    """Scale lambda > 0 with P = lambda·K + x, or None.
 
-    Decided geometrically: the measure-proportionality factor is
-    lambda^(n-1); its exact root plus vertex-centroid alignment determine
-    the candidate map, confirmed by exact vertex-set equality.
+    A map y -> lambda·y + x with lambda > 0 keeps the lex order of points,
+    so it sends K's i-th sorted vertex to P's i-th. lambda and x are read
+    off the first two vertices, and the images of all of K's vertices must
+    be P's vertex tuple exactly. That rejects unequal vertex counts, and
+    lambda <= 0, which reverses or collapses the order.
     """
     if K.dim != P.dim:
         raise DimensionMismatch("ambient dimensions differ")
     if not (K.is_full_dimensional and P.is_full_dimensional):
         raise DegenerateInput("homothety check needs full-dimensional bodies")
-    m = measures_proportional(surface_area_measure(P), surface_area_measure(K))
-    if m is None:
-        return None
-    lam = perfect_nth_root(m, K.dim - 1)
-    if lam is None or lam <= 0:
-        return None
-    cK = interior_point(K)
-    cP = interior_point(P)
-    x = tuple(cp - lam * ck for cp, ck in zip(cP, cK))
-    mapped = tuple(
-        sorted(tuple(lam * c + xi for c, xi in zip(v, x)) for v in K.vertices)
-    )
+    (k0, k1, *_), (p0, p1, *_) = K.vertices, P.vertices
+    c = next(c for c in range(K.dim) if k1[c] != k0[c])
+    lam = (p1[c] - p0[c]) / (k1[c] - k0[c])
+    x = vsub(p0, tuple(lam * a for a in k0))
+    mapped = tuple(tuple(lam * a + b for a, b in zip(v, x)) for v in K.vertices)
     return lam if mapped == P.vertices else None
 
 
@@ -297,23 +293,31 @@ def af_spot_check(L: Polytope, M: Polytope, rest) -> Fraction:
 
 
 def simplex_audit(K: Polytope) -> AuditReport:
-    """Per facet: move by the midpoint t of the positive safe half-range
-    and test proportionality of S(K_t) to S(K). Verdict "simplex" iff every
-    facet passes; cross-checked against the vertex count n+1.
+    """Per facet i: is S(K_t) proportional to S(K), for K_t = K_{i,t} and t
+    the midpoint of the positive safe half-range? By Minkowski's uniqueness
+    theorem it is exactly when K_t = lambda·K + x. Verdict "simplex" iff
+    every facet passes; cross-checked against the vertex count n+1.
 
-    One t per facet suffices: if S(K_t) = m·S(K), Minkowski's uniqueness
-    theorem gives K_t = lambda·K + x, and halving (lambda - 1, x) gives
-    K_{t/2} = ((1 + lambda)/2)·K + x/2, which is proportional again."""
+    The answer is read off K's support numbers h_j = h_K(z_j), with no
+    moved body built. K_t keeps every facet, so its support numbers are
+    h + t·e_i, and K_t = lambda·K + x exactly when
+    t·e_i = (lambda - 1)·h + Z·x, Z the matrix of facet normals. [h | Z]
+    has rank n + 1 (h = Z·x would make K - x the cone {Z·y <= 0}), so
+    facet i is proportional iff [h | Z | e_i] has rank n + 1 too, for
+    every t in the safe range alike. Then S(K_t) = lambda^(n-1)·S(K), and
+    lambda = 1 + t·w_i/(n·V) with w_i facet i's weight and V = vol K, by
+    the first variation V(K_t,K[n-1]) = V + t·w_i/n = lambda·V."""
     n = K.dim
-    sK = surface_area_measure(K)
+    facets = facet_structure(K)
     records = []
-    for i in range(len(facet_structure(K))):
+    for i, fi in enumerate(facets):
         _, t_max = safe_move_range(K, i)
         t = t_max / 2
-        lam = measures_proportional(
-            surface_area_measure(move_facet(K, MoveSpec(i, t))), sK
-        )
-        records.append(FacetAuditRecord(i, t, lam is not None, lam))
+        rows = [(f.offset, *f.normal, int(j == i)) for j, f in enumerate(facets)]
+        scale = None
+        if rank(rows) == n + 1:
+            scale = (1 + t * fi.normalized_volume / (n * K.volume)) ** (n - 1)
+        records.append(FacetAuditRecord(i, t, scale is not None, scale))
     verdict = "simplex" if all(r.proportional for r in records) else "non-simplex"
     if (verdict == "simplex") != (len(K.vertices) == n + 1):
         raise InternalCheckError("audit verdict disagrees with vertex count")

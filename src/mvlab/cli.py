@@ -308,6 +308,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# parsing leaves the parser unchanged, so one serves every main() call
+_PARSER = build_parser()
+
+
 def _echo_params(ns) -> dict:
     params = {"format": ns.format}
     for key in ("r", "budget", "samples"):
@@ -328,9 +332,8 @@ def _emit(report: dict, ns) -> None:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        ns = parser.parse_args(argv)
+        ns = _PARSER.parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
     start = time.perf_counter()

@@ -10,7 +10,7 @@ denominator bookkeeping.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, isqrt, lcm
+from math import gcd, lcm
 
 
 def dot(a, b):
@@ -166,32 +166,3 @@ def scale_to_int(points):
         points = [tuple(map(Fraction, p)) for p in points]
         s = common_denominator(points)
     return [tuple(x.numerator * (s // x.denominator) for x in p) for p in points], s
-
-
-def perfect_nth_root(x: Fraction, k: int):
-    """Exact k-th root of a nonnegative rational, or None if irrational."""
-    if x < 0:
-        return None
-    if k == 1:
-        return x
-    num, den = x.numerator, x.denominator
-
-    def iroot(m: int) -> int | None:
-        if m == 0:
-            return 0
-        if k == 2:
-            r = isqrt(m)
-            return r if r * r == m else None
-        # integer Newton for the floor k-th root; exact at any size
-        r = 1 << -(-m.bit_length() // k)
-        while True:
-            y = ((k - 1) * r + m // r ** (k - 1)) // k
-            if y >= r:
-                break
-            r = y
-        return r if r**k == m else None
-
-    rn, rd = iroot(num), iroot(den)
-    if rn is None or rd is None:
-        return None
-    return Fraction(rn, rd)

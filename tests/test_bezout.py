@@ -10,8 +10,9 @@ from conftest import (
     rand_full_body,
     rand_segment,
 )
-from mvlab import geometry
+from mvlab import bezout, geometry
 from mvlab.bezout import (
+    FacetAuditRecord,
     MoveSpec,
     af_spot_check,
     bezout_gap,
@@ -73,6 +74,15 @@ def seg(a, b, n):
 def square_pyramid():
     return convex_hull(
         [(0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 0), (F(1, 2), F(1, 2), 1)], 3
+    )
+
+
+def pyramid_4d():
+    """Pyramid over square_pyramid(): two facets miss exactly one vertex."""
+    return convex_hull(
+        [(0, 0, 0, 0), (1, 0, 0, 0), (0, 1, 0, 0), (1, 1, 0, 0),
+         (F(1, 2), F(1, 2), 1, 0), (F(1, 2), F(1, 2), F(1, 2), 1)],
+        4,
     )
 
 
@@ -295,7 +305,8 @@ def test_shift_facet_vanishing_facet():
 
 def test_safe_move_range_ladder():
     # each end is the first rung of w, w/2, ... or -w/2, -w/4, ... whose
-    # move keeps every facet; a simplex keeps exactly (-w/2, w)
+    # move keeps every facet; a simplex keeps every t in (-w, oo), so its
+    # ladders stop at their first rungs, -w/2 and w
     for K in _move_bodies():
         for i in range(len(facet_structure(K))):
             w = _width(K, i)
@@ -309,6 +320,8 @@ def test_safe_move_range_ladder():
                 assert _shift_facet(K, i, 2 * t_min) is None
             if len(K.vertices) == K.dim + 1:
                 assert (t_min, t_max) == (-w / 2, w)
+                for t in (-3 * w / 4, 4 * w):
+                    assert _shift_facet(K, i, t) is not None
 
 
 def test_safe_move_range_thin_body():
@@ -355,6 +368,14 @@ def test_cap_cut_square_diagonal():
     P = cap_cut(cube(2), (1, 1), F(1, 2))
     assert P == clip_halfspace(cube(2), Halfspace((1, 1), F(3, 2)))
     assert len(P.vertices) == 5
+
+
+def test_cap_cut_rational_direction():
+    # the direction is scaled to its primitive normal, whatever its type
+    P = cap_cut(cube(2), (1, 0), F(1, 10))
+    assert cap_cut(cube(2), (F(1, 2), 0), F(1, 10)) == P
+    assert cap_cut(cube(2), (0.5, 0.0), F(1, 10)) == P
+    assert cap_cut(cube(2), (3, 0), F(1, 10)) == P
 
 
 def test_cap_cut_errors():
@@ -410,8 +431,8 @@ def test_homothety_check():
 
 def test_homothety_iff_proportional_random():
     rng = random.Random("homo")
-    for _ in range(8):
-        n = rng.choice([2, 3])
+    for _ in range(12):
+        n = rng.choice([2, 3, 4])
         K = rand_full_body(rng, n)
         if rng.random() < 0.5:
             lam = F(rng.randrange(1, 5), rng.randrange(1, 3))
@@ -423,6 +444,35 @@ def test_homothety_iff_proportional_random():
         )
         got = homothety_check(K, P)
         assert (got is not None) == (prop is not None)
+        if got is not None:
+            assert prop == got ** (n - 1)
+
+
+def _reflect(K, x):
+    return convex_hull([tuple(c - a for a, c in zip(v, x)) for v in K.vertices], K.dim)
+
+
+def test_homothety_check_cases():
+    # a negative scale keeps the measure's support only for centrally
+    # symmetric bodies, and then the body is a translate
+    tri = simplex(2)
+    assert homothety_check(tri, _reflect(tri, (1, 1))) is None
+    # the first two vertices give lambda = 0
+    assert homothety_check(tri, convex_hull([(0, 0), (1, 0), (1, 1)], 2)) is None
+    for n in (2, 3):
+        assert homothety_check(cube(n), _reflect(cube(n), (F(1, 3),) * n)) == 1
+    K = truncated_simplex(3, F(1, 3))
+    assert homothety_check(K, _reflect(K, (0, 0, 0))) is None
+    P = translate(dilate(K, F(2, 7)), (F(-5, 2), 1, F(1, 9)))
+    assert homothety_check(K, P) == F(2, 7)
+    assert homothety_check(P, K) == F(7, 2)
+    # equal vertex counts, not homothetic: a box and a parallelepiped
+    box = convex_hull([(a, b, 2 * c) for a in (0, 1) for b in (0, 1) for c in (0, 1)], 3)
+    slab = convex_hull([(a + c, b, c) for a in (0, 1) for b in (0, 1) for c in (0, 1)], 3)
+    for P in (box, slab):
+        assert len(P.vertices) == 8
+        assert homothety_check(cube(3), P) is None
+    assert homothety_check(cube(3), cross_polytope(3)) is None
 
 
 # ---------------------------------------------------------------- lemma identity
@@ -538,6 +588,55 @@ def test_audit_non_simplices():
         rep = simplex_audit(K)
         assert rep.verdict == "non-simplex"
         assert any(not r.proportional for r in rep.records)
+
+
+def test_audit_matches_measure_oracle():
+    # the audit reads homothety off support numbers; the measure route
+    # S(K_t) = lambda^(n-1)·S(K) must agree at t and at t/2, and its
+    # factor is the record's scale. cross_polytope(3) is not simple.
+    bodies = [
+        simplex(2), simplex(3), simplex(4), cube(2), cube(3),
+        cross_polytope(3), prism(simplex(2), 1), truncated_simplex(3, F(1, 3)),
+        square_pyramid(), pyramid_4d(),
+        random_hull(2, 6, 0), random_hull(3, 7, 2), random_hull(4, 7, 2),
+    ]
+    proportional = 0
+    for K in bodies:
+        sK = surface_area_measure(K)
+
+        def ratio(i, t):
+            return measures_proportional(
+                surface_area_measure(move_facet(K, MoveSpec(i, t))), sK
+            )
+
+        for rec in simplex_audit(K).records:
+            assert ratio(rec.facet_index, rec.t) == rec.scale
+            assert (ratio(rec.facet_index, rec.t / 2) is not None) == rec.proportional
+            proportional += rec.proportional
+    assert proportional == 3 + 4 + 5 + 1 + 2
+
+
+def test_audit_pyramid_records():
+    # moving a facet that misses one vertex only is a homothety about that
+    # vertex: the pyramid's base, lambda = 1 + (1/2)·1/(3·1/3) = 3/2
+    rep = simplex_audit(square_pyramid())
+    assert rep.verdict == "non-simplex"
+    assert [r for r in rep.records if r.proportional] == [
+        FacetAuditRecord(2, F(1, 2), True, F(9, 4))
+    ]
+    rep = simplex_audit(pyramid_4d())
+    assert [r.facet_index for r in rep.records if r.proportional] == [2, 3]
+
+
+def test_audit_builds_no_moved_body(monkeypatch):
+    def forbidden(*args):
+        raise AssertionError("simplex_audit built a moved body or a measure")
+
+    for name in ("move_facet", "_shift_facet", "surface_area_measure"):
+        monkeypatch.setattr(bezout, name, forbidden)
+    monkeypatch.setattr(geometry, "_shift_facet", forbidden)
+    for K in (simplex(3), cube(3), square_pyramid()):
+        simplex_audit(K)
 
 
 def test_search_square_certificate():

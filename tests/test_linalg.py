@@ -8,7 +8,6 @@ from mvlab.linalg import (
     cross_rows,
     det,
     dot,
-    perfect_nth_root,
     primitive,
     primitive_from_rational,
     rank,
@@ -121,27 +120,6 @@ def test_scale_to_int():
     (row,), s = scale_to_int([(0.1, Fraction(1, 3))])
     assert Fraction(row[0], s) == Fraction(0.1) and Fraction(row[1], s) == Fraction(1, 3)
     assert common_denominator([(Fraction(1, 4), Fraction(3, 2))]) == 4
-
-
-def test_perfect_nth_root_small():
-    assert perfect_nth_root(Fraction(9, 4), 2) == Fraction(3, 2)
-    assert perfect_nth_root(Fraction(27), 3) == 3
-    assert perfect_nth_root(Fraction(2), 2) is None
-    assert perfect_nth_root(Fraction(8, 27), 3) == Fraction(2, 3)
-
-
-def test_perfect_nth_root_large():
-    # float-based rounding breaks far below this size; the exact Newton
-    # iteration must not
-    big = 10**150 + 7
-    assert perfect_nth_root(Fraction(big * big), 2) == big
-    assert perfect_nth_root(Fraction(big**3), 3) == big
-    assert perfect_nth_root(Fraction(big * big + 1), 2) is None
-
-
-@given(st.integers(min_value=0, max_value=10**12), st.integers(min_value=2, max_value=4))
-def test_perfect_nth_root_roundtrip(m, k):
-    assert perfect_nth_root(Fraction(m**k), k) == m
 
 
 def _reference_rref(rows):
