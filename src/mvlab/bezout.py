@@ -5,7 +5,7 @@ The central quantity is the gap
 (and its r-body generalization), which is nonnegative for every pair (L,M)
 exactly when K is a simplex. This module provides the gap evaluators, the
 facet-moving deformation K_{t,i} and its certified safe range (one uncached
-polar-dual hull, geometry._dual_shift, decides each move), cap cuts,
+polar-dual hull, _moved_vertices, decides and builds each move), cap cuts,
 measure-proportionality and homothety tests, a measure-power identity
 checker, the per-facet simplex audit (it reads homothety of K_{t,i} and K
 off K's support numbers, with no moved body built), and a deterministic
@@ -45,14 +45,14 @@ from .geometry import (
     Polytope,
     clip_halfspace,
     facet_structure,
+    interior_point,
     project_along,
     support_value,
     vertex_adjacency,
-    _dual_shift,
     _from_points,
-    _shift_facet,
 )
-from .linalg import primitive_from_rational, rank, vsub
+from .hull import hull_int
+from .linalg import dot, primitive_from_rational, rank, scale_to_int, vsub
 from .mixed import (
     DiscreteMeasure,
     mixed_area_measure,
@@ -140,6 +140,55 @@ def bezout_gap_general(bodies, delta: Polytope, r: int) -> Fraction:
     return rhs - lhs
 
 
+def _moved_vertices(K: Polytope, i: int, t):
+    """The vertices of K_t, full-dimensional K with the bound of its i-th
+    facet shifted by t, or None when K_t is flat or empty or has lost a
+    facet.
+
+    Polar duality about a point c interior to K_t (de Berg et al.,
+    *Computational Geometry*, 3rd ed., section 11.4): the constraint
+    <z_j, x> <= b_j becomes the point z_j / (b_j - <z_j, c>). Constraint j
+    is a facet of K_t exactly when its point is a vertex of the hull of
+    all of them, and a facet {<a, y> = o} of that hull, scaled to integers
+    by s, gives the vertex c + a·s/o of K_t. c lies on the segment from
+    K's lowest vertex w along z_i toward K's vertex centroid, at most
+    halfway up to the moved bound, so it is interior to both K and K_t.
+    """
+    z = K.facets[i].normal
+    bound = K.facets[i].offset + t
+    rows, s = K.ints
+    lowest = min(range(len(rows)), key=lambda j: dot(z, rows[j]))
+    w = K.vertices[lowest]
+    low = Fraction(dot(z, rows[lowest]), s)
+    if bound <= low:
+        return None
+    g = interior_point(K)
+    lam = min(Fraction(1), (bound - low) / (2 * (dot(z, g) - low)))
+    c = tuple(a + lam * (b - a) for a, b in zip(w, g))
+    dual = []
+    for j, f in enumerate(K.facets):
+        o = f.offset + (t if j == i else 0) - dot(f.normal, c)
+        dual.append(tuple(x / o for x in f.normal))
+    scaled, s = scale_to_int(dual)
+    hd = hull_int(scaled, K.dim)
+    if len(hd.vertex_indices) < len(dual):
+        return None
+    return [
+        tuple(ci + Fraction(a * s, hf.offset) for ci, a in zip(c, hf.normal))
+        for hf in hd.facets
+    ]
+
+
+def _ladder(K: Polytope, i: int, start) -> Fraction:
+    """The first of start·w, start·w/2, start·w/4, ... whose move of facet
+    i keeps every facet, w the width h_K(z_i) + h_K(-z_i) of K along z_i."""
+    z = K.facets[i].normal
+    t = start * (support_value(K, z) + support_value(K, tuple(-c for c in z)))
+    while _moved_vertices(K, i, t) is None:
+        t /= 2
+    return t
+
+
 def safe_move_range(K: Polytope, facet_index: int):
     """Certified interval [t_min, t_max] around 0 of bound shifts that keep
     every facet of K.
@@ -159,18 +208,9 @@ def safe_move_range(K: Polytope, facet_index: int):
     which is (n-1)-dimensional, as both are facets, and lies on that
     bound's hyperplane. So every z_j stays a facet normal of K_{lambda·s}.
     """
-    facets = facet_structure(K)
-    if not 0 <= facet_index < len(facets):
+    if not 0 <= facet_index < len(facet_structure(K)):
         raise BadParams(f"facet index {facet_index} out of range")
-    z = facets[facet_index].normal
-    width = support_value(K, z) + support_value(K, tuple(-c for c in z))
-
-    def first_rung(t):
-        while _dual_shift(K, facet_index, t) is None:
-            t /= 2
-        return t
-
-    return first_rung(-width / 2), first_rung(width)
+    return _ladder(K, facet_index, Fraction(-1, 2)), _ladder(K, facet_index, 1)
 
 
 def move_facet(K: Polytope, spec: MoveSpec) -> Polytope:
@@ -178,16 +218,15 @@ def move_facet(K: Polytope, spec: MoveSpec) -> Polytope:
     RangeViolation unless K_t keeps every facet normal of K (every t in
     safe_move_range(K, i) does), and BadParams for i outside 0..F-1."""
     i = spec.facet_index
-    # checked here: _shift_facet(K, -1, t) would move the last facet
     if not 0 <= i < len(facet_structure(K)):
         raise BadParams(f"facet index {i} out of range")
     t = Fraction(spec.t)
-    Kt = _shift_facet(K, i, t)
-    if Kt is None:
+    verts = _moved_vertices(K, i, t)
+    if verts is None:
         raise RangeViolation(
             f"moving facet {i} by t={t} loses a facet or flattens or empties K"
         )
-    return Kt
+    return _from_points(verts, K.dim)
 
 
 def cap_cut(K: Polytope, z, eps) -> Polytope:
@@ -311,8 +350,7 @@ def simplex_audit(K: Polytope) -> AuditReport:
     facets = facet_structure(K)
     records = []
     for i, fi in enumerate(facets):
-        _, t_max = safe_move_range(K, i)
-        t = t_max / 2
+        t = _ladder(K, i, 1) / 2
         rows = [(f.offset, *f.normal, int(j == i)) for j, f in enumerate(facets)]
         scale = None
         if rank(rows) == n + 1:

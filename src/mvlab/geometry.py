@@ -236,58 +236,6 @@ def vertex_enumeration(halfspaces, dim: int) -> Polytope:
     return _from_points(candidates, dim)
 
 
-def _dual_shift(K: Polytope, i: int, t):
-    """(c, s, hd): hd is the hull, scaled to integers by s, of the polar
-    dual about c of K_t, full-dimensional K with the bound of its i-th
-    facet shifted by t. None when K_t is flat or empty or has lost a facet.
-
-    Polar duality about a point c interior to K_t (de Berg et al.,
-    *Computational Geometry*, 3rd ed., section 11.4): the constraint
-    <z_j, x> <= b_j becomes the point z_j / (b_j - <z_j, c>). Constraint j
-    is a facet of K_t exactly when its point is a vertex of the hull of
-    all of them. c lies on the segment from K's lowest vertex w along z_i
-    toward K's vertex centroid, at most halfway up to the moved bound, so
-    it is interior to both K and K_t.
-    """
-    z = K.facets[i].normal
-    bound = K.facets[i].offset + t
-    rows, s = K.ints
-    lowest = min(range(len(rows)), key=lambda j: dot(z, rows[j]))
-    w = K.vertices[lowest]
-    low = Fraction(dot(z, rows[lowest]), s)
-    if bound <= low:
-        return None
-    g = interior_point(K)
-    lam = min(Fraction(1), (bound - low) / (2 * (dot(z, g) - low)))
-    c = tuple(a + lam * (b - a) for a, b in zip(w, g))
-    dual = [
-        tuple(
-            x / (f.offset + (t if j == i else 0) - dot(f.normal, c))
-            for x in f.normal
-        )
-        for j, f in enumerate(K.facets)
-    ]
-    scaled, s = scale_to_int(dual)
-    hd = hull_int(scaled, K.dim)
-    if len(hd.vertex_indices) < len(dual):
-        return None
-    return c, s, hd
-
-
-def _shift_facet(K: Polytope, i: int, t) -> Polytope | None:
-    """K_t, or None as for _dual_shift. A facet {<a, y> = o} of the dual
-    hull, {<a, y> = o/s} unscaled, gives the vertex c + a·s/o of K_t."""
-    dual = _dual_shift(K, i, t)
-    if dual is None:
-        return None
-    c, s, hd = dual
-    verts = [
-        tuple(ci + Fraction(a * s, hf.offset) for ci, a in zip(c, hf.normal))
-        for hf in hd.facets
-    ]
-    return _from_points(verts, K.dim)
-
-
 def _origin_interior(normals, dim) -> bool:
     """True iff 0 is interior to conv(normals); equivalent to boundedness
     of the intersection of the halfspaces <x, normal> <= bound."""
@@ -388,10 +336,6 @@ def dilate(P: Polytope, lam) -> Polytope:
     rows, s = P.ints
     rows = tuple(tuple(lam.numerator * c for c in row) for row in rows)
     return _body(P.dim, P.adim, rows, s * lam.denominator, facets, P.volume * lam**P.dim)
-
-
-def volume(P: Polytope) -> Fraction:
-    return P.volume
 
 
 def clip_halfspace(P: Polytope, h: Halfspace) -> Polytope:

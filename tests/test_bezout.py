@@ -10,7 +10,7 @@ from conftest import (
     rand_full_body,
     rand_segment,
 )
-from mvlab import bezout, geometry
+from mvlab import bezout
 from mvlab.bezout import (
     FacetAuditRecord,
     MoveSpec,
@@ -28,6 +28,7 @@ from mvlab.bezout import (
     safe_move_range,
     simplex_audit,
     support_drop_set,
+    _moved_vertices,
 )
 from mvlab.errors import (
     BadArity,
@@ -59,7 +60,6 @@ from mvlab.geometry import (
     support_value,
     translate,
     vertex_enumeration,
-    _shift_facet,
 )
 from mvlab.linalg import dot
 from mvlab.mixed import surface_area_measure, DiscreteMeasure
@@ -260,7 +260,7 @@ def test_shift_facet_matches_brute_force():
         for i in range(len(facet_structure(K))):
             t_min, t_max = safe_move_range(K, i)
             for t in (t_max, t_max / 2, t_min, t_min / 2):
-                Kt = _shift_facet(K, i, t)
+                Kt = move_facet(K, MoveSpec(i, t))
                 ref = _brute_shift(K, i, t)
                 assert Kt == ref, (K, i, t)
                 assert Kt.facets == ref.facets and Kt.volume == ref.volume
@@ -276,7 +276,7 @@ def test_shift_facet_centroid_outside():
         t_min, _ = safe_move_range(K, i)
         assert t_min == -_width(K, i) / 2
         assert dot(f.normal, g) > f.offset + t_min
-        Kt = _shift_facet(K, i, t_min)
+        Kt = move_facet(K, MoveSpec(i, t_min))
         assert Kt == _brute_shift(K, i, t_min)
         assert Kt.volume == K.volume / 4
 
@@ -285,9 +285,9 @@ def test_shift_facet_flat_and_empty():
     for K in (simplex(2), cube(3), cross_polytope(3)):
         for i in range(len(facet_structure(K))):
             w = _width(K, i)
-            assert _shift_facet(K, i, -w) is None
+            assert _moved_vertices(K, i, -w) is None
             assert _brute_shift(K, i, -w).adim < K.dim
-            assert _shift_facet(K, i, -2 * w) is None
+            assert _moved_vertices(K, i, -2 * w) is None
             with pytest.raises(EmptyIntersection):
                 _brute_shift(K, i, -2 * w)
 
@@ -297,7 +297,7 @@ def test_shift_facet_vanishing_facet():
     K = truncated_simplex(2, F(1, 4))
     i = next(j for j, f in enumerate(facet_structure(K)) if f.normal == (1, 0))
     for t in (F(1, 4), F(1, 2)):
-        assert _shift_facet(K, i, t) is None
+        assert _moved_vertices(K, i, t) is None
         ref = _brute_shift(K, i, t)
         assert ref == simplex(2) and len(ref.facets) == 3
     assert safe_move_range(K, i)[1] == F(3, 16)
@@ -315,13 +315,13 @@ def test_safe_move_range_ladder():
                 assert ratio.denominator == 1
                 assert ratio.numerator & (ratio.numerator - 1) == 0
             if t_max < w:
-                assert _shift_facet(K, i, 2 * t_max) is None
+                assert _moved_vertices(K, i, 2 * t_max) is None
             if t_min > -w / 2:
-                assert _shift_facet(K, i, 2 * t_min) is None
+                assert _moved_vertices(K, i, 2 * t_min) is None
             if len(K.vertices) == K.dim + 1:
                 assert (t_min, t_max) == (-w / 2, w)
                 for t in (-3 * w / 4, 4 * w):
-                    assert _shift_facet(K, i, t) is not None
+                    assert _moved_vertices(K, i, t) is not None
 
 
 def test_safe_move_range_thin_body():
@@ -335,7 +335,7 @@ def test_safe_move_range_thin_body():
         t_min, t_max = safe_move_range(K, i)
         rungs += [(w / t_max).numerator.bit_length() - 1,
                   (-w / 2 / t_min).numerator.bit_length() - 1]
-        assert _shift_facet(K, i, t_min) == _brute_shift(K, i, t_min)
+        assert move_facet(K, MoveSpec(i, t_min)) == _brute_shift(K, i, t_min)
     assert max(rungs) == 70
     assert simplex_audit(K).verdict == "non-simplex"
 
@@ -344,9 +344,9 @@ def test_safe_move_range_builds_no_body(monkeypatch):
     # each rung is one dual hull; K_t is built only by move_facet
     bodies = (cube(3), random_hull(4, 7, 2))
     calls = []
-    build = geometry._from_points
+    build = bezout._from_points
     monkeypatch.setattr(
-        geometry, "_from_points", lambda *a: calls.append(a) or build(*a)
+        bezout, "_from_points", lambda *a: calls.append(a) or build(*a)
     )
     for K in bodies:
         for i in range(len(facet_structure(K))):
@@ -632,11 +632,33 @@ def test_audit_builds_no_moved_body(monkeypatch):
     def forbidden(*args):
         raise AssertionError("simplex_audit built a moved body or a measure")
 
-    for name in ("move_facet", "_shift_facet", "surface_area_measure"):
+    for name in ("move_facet", "_from_points", "surface_area_measure"):
         monkeypatch.setattr(bezout, name, forbidden)
-    monkeypatch.setattr(geometry, "_shift_facet", forbidden)
     for K in (simplex(3), cube(3), square_pyramid()):
         simplex_audit(K)
+
+
+def test_audit_climbs_only_the_ladder_it_reports(monkeypatch):
+    # the audit's t is half the positive ladder's end; it never tries a
+    # move with t <= 0
+    seen = []
+    rung = bezout._moved_vertices
+
+    def spy(K, i, t):
+        seen.append(t)
+        return rung(K, i, t)
+
+    bodies = [
+        simplex(3), cube(3), cross_polytope(3), square_pyramid(),
+        random_hull(3, 7, 2),
+    ]
+    monkeypatch.setattr(bezout, "_moved_vertices", spy)
+    reports = [simplex_audit(K) for K in bodies]
+    monkeypatch.undo()
+    assert seen and all(t > 0 for t in seen)
+    for K, rep in zip(bodies, reports):
+        for rec in rep.records:
+            assert rec.t == safe_move_range(K, rec.facet_index)[1] / 2
 
 
 def test_search_square_certificate():

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from conftest import rand_body, rand_full_body
+from mvlab.bezout import MoveSpec, move_facet
 from mvlab.errors import (
     BadParams,
     DegenerateInput,
@@ -19,7 +20,6 @@ from mvlab.generators import cross_polytope, cube, random_points
 from mvlab.geometry import (
     Halfspace,
     Polytope,
-    _shift_facet,
     clip_halfspace,
     contains_point,
     convex_hull,
@@ -34,7 +34,6 @@ from mvlab.geometry import (
     translate,
     vertex_adjacency,
     vertex_enumeration,
-    volume,
 )
 from mvlab.linalg import dot, rank
 
@@ -336,7 +335,7 @@ def _cube3():
             [Halfspace((1, 0), F(1, 2)), Halfspace((0, 1), F(2, 3)),
              Halfspace((-1, -1), 1)], 2
         ),
-        lambda: _shift_facet(_cube3(), 0, F(1, 3)),
+        lambda: move_facet(_cube3(), MoveSpec(0, F(1, 3))),
         lambda: Polytope(2, 0, ((F(1, 2), F(3)),), (), F(0)),
     ],
     ids=[
