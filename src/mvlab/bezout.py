@@ -140,39 +140,50 @@ def bezout_gap_general(bodies, delta: Polytope, r: int) -> Fraction:
     return rhs - lhs
 
 
-def _moved_vertices(K: Polytope, i: int, t):
+def _move_frame(K: Polytope, i: int):
+    """What every move of K's i-th facet shares (see _moved_vertices): K's
+    lowest vertex w along z_i, g - w for K's vertex centroid g, the height
+    low of w and the rise <z_i, g> - low, and b_j - <z_j, w> and
+    <z_j, g - w> for every facet j."""
+    z = K.facets[i].normal
+    rows, s = K.ints
+    lowest = min(range(len(rows)), key=lambda j: dot(z, rows[j]))
+    w = K.vertices[lowest]
+    up = vsub(interior_point(K), w)
+    low = Fraction(dot(z, rows[lowest]), s)
+    lines = [(f.offset - dot(f.normal, w), dot(f.normal, up)) for f in K.facets]
+    return w, up, low, dot(z, up), lines
+
+
+def _moved_vertices(K: Polytope, i: int, t, frame):
     """The vertices of K_t, full-dimensional K with the bound of its i-th
     facet shifted by t, or None when K_t is flat or empty or has lost a
-    facet.
+    facet. frame is _move_frame(K, i).
 
     Polar duality about a point c interior to K_t (de Berg et al.,
     *Computational Geometry*, 3rd ed., section 11.4): the constraint
     <z_j, x> <= b_j becomes the point z_j / (b_j - <z_j, c>). Constraint j
     is a facet of K_t exactly when its point is a vertex of the hull of
     all of them, and a facet {<a, y> = o} of that hull, scaled to integers
-    by s, gives the vertex c + a·s/o of K_t. c lies on the segment from
-    K's lowest vertex w along z_i toward K's vertex centroid, at most
-    halfway up to the moved bound, so it is interior to both K and K_t.
+    by s, gives the vertex c + a·s/o of K_t. c = w + lam·(g - w) lies on
+    the segment from K's lowest vertex w along z_i toward K's vertex
+    centroid g, at most halfway up to the moved bound, so it is interior to
+    both K and K_t, and b_j - <z_j, c> = (b_j - <z_j, w>) - lam·<z_j, g - w>.
     """
-    z = K.facets[i].normal
-    bound = K.facets[i].offset + t
-    rows, s = K.ints
-    lowest = min(range(len(rows)), key=lambda j: dot(z, rows[j]))
-    w = K.vertices[lowest]
-    low = Fraction(dot(z, rows[lowest]), s)
-    if bound <= low:
+    w, up, low, rise, lines = frame
+    room = K.facets[i].offset + t - low
+    if room <= 0:
         return None
-    g = interior_point(K)
-    lam = min(Fraction(1), (bound - low) / (2 * (dot(z, g) - low)))
-    c = tuple(a + lam * (b - a) for a, b in zip(w, g))
+    lam = min(Fraction(1), room / (2 * rise))
     dual = []
-    for j, f in enumerate(K.facets):
-        o = f.offset + (t if j == i else 0) - dot(f.normal, c)
+    for j, (f, (b, slope)) in enumerate(zip(K.facets, lines)):
+        o = b - lam * slope + (t if j == i else 0)
         dual.append(tuple(x / o for x in f.normal))
     scaled, s = scale_to_int(dual)
     hd = hull_int(scaled, K.dim)
     if len(hd.vertex_indices) < len(dual):
         return None
+    c = tuple(a + lam * b for a, b in zip(w, up))
     return [
         tuple(ci + Fraction(a * s, hf.offset) for ci, a in zip(c, hf.normal))
         for hf in hd.facets
@@ -184,7 +195,8 @@ def _ladder(K: Polytope, i: int, start) -> Fraction:
     i keeps every facet, w the width h_K(z_i) + h_K(-z_i) of K along z_i."""
     z = K.facets[i].normal
     t = start * (support_value(K, z) + support_value(K, tuple(-c for c in z)))
-    while _moved_vertices(K, i, t) is None:
+    frame = _move_frame(K, i)
+    while _moved_vertices(K, i, t, frame) is None:
         t /= 2
     return t
 
@@ -221,7 +233,7 @@ def move_facet(K: Polytope, spec: MoveSpec) -> Polytope:
     if not 0 <= i < len(facet_structure(K)):
         raise BadParams(f"facet index {i} out of range")
     t = Fraction(spec.t)
-    verts = _moved_vertices(K, i, t)
+    verts = _moved_vertices(K, i, t, _move_frame(K, i))
     if verts is None:
         raise RangeViolation(
             f"moving facet {i} by t={t} loses a facet or flattens or empties K"

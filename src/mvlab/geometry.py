@@ -284,13 +284,24 @@ def face_in_direction(P: Polytope, z) -> Polytope:
 
 
 def minkowski_sum(P: Polytope, Q: Polytope) -> Polytope:
+    """P + Q from the pairwise sums of their vertex rows at scale lcm(sp, sq).
+    When one operand is a point q, the sum is the other body moved by q:
+    its rows shift, its facets keep their incidence and weights with
+    offsets moved by <z, q>, and no hull is built."""
     if P.dim != Q.dim:
         raise DimensionMismatch(f"dim {P.dim} vs {Q.dim}")
     if P.is_empty or Q.is_empty:
         return empty_polytope(P.dim)
+    if len(P.vertices) == 1:
+        P, Q = Q, P
     (rp, sp), (rq, sq) = P.ints, Q.ints
     s = lcm(sp, sq)
     a, b = s // sp, s // sq
+    if len(rq) == 1:
+        # translation keeps the lex order, so facet indices stay valid
+        rows = tuple(tuple(a * x + b * y for x, y in zip(p, rq[0])) for p in rp)
+        facets = _moved_facets(P, Q.vertices[0])
+        return _body(P.dim, P.adim, rows, s, facets, P.volume)
     pts = {
         tuple(a * x + b * y for x, y in zip(p, q))
         for p in rp
@@ -299,18 +310,21 @@ def minkowski_sum(P: Polytope, Q: Polytope) -> Polytope:
     return _from_int_points(pts, s, P.dim)
 
 
+def _moved_facets(P: Polytope, x):
+    return tuple(
+        FacetData(f.normal, f.offset + dot(f.normal, x), f.vertices, f.normalized_volume)
+        for f in P.facets
+    )
+
+
 def translate(P: Polytope, x) -> Polytope:
     if P.is_empty:
         return P
     x = _as_point(x, P.dim)
     verts = tuple(sorted(tuple(a + b for a, b in zip(v, x)) for v in P.vertices))
-    facets = tuple(
-        FacetData(f.normal, f.offset + dot(f.normal, x), f.vertices, f.normalized_volume)
-        for f in P.facets
-    )
     # translation permutes nothing: lex order of translated vertices is
     # preserved, so facet indices stay valid
-    return Polytope(P.dim, P.adim, verts, facets, P.volume)
+    return Polytope(P.dim, P.adim, verts, _moved_facets(P, x), P.volume)
 
 
 def dilate(P: Polytope, lam) -> Polytope:

@@ -1,27 +1,28 @@
 """Convex hull engine on integer coordinates, exact in all dimensions up to 4.
 
-The 3D/4D path is an incremental (beneath-beyond) construction that keeps a
-triangulation of the hull's boundary into (d-1)-simplices. Points are
-deduplicated and sorted; the first d+1 affinely independent ones form the
-initial simplex, then the skipped ones and the rest follow in lex order. A
-simplex is visible from p when p lies strictly beyond its hyperplane, and
-inserting p replaces the visible simplices by cones from p over the horizon
+The 3D/4D path is Quickhull (Barber, Dobkin & Huhdanpaa, *The Quickhull
+algorithm for convex hulls*, ACM TOMS 22(4), 1996) on a triangulation of the
+hull's boundary into (d-1)-simplices, each with its d neighbours and an
+outside set. Points are deduplicated and sorted, and the initial simplex is
+made of d+1 vertices of the hull. Every other point joins the outside set
+of the first simplex it lies strictly beyond, or is dropped: a point in the
+hull so far is not extreme. While an outside set is nonempty, its point p
+with the largest <normal, p> (lowest index on ties) replaces the simplices
+it lies strictly beyond, the visible ones, by cones from p over the horizon
 ridges. So the boundary stays a placing triangulation (De Loera, Rambau &
 Santos, *Triangulations*, 2010, section 4.3.1), and every predicate is one
 exact integer sign:
 
 (a) A horizon ridge r lies in aff(G) for a visible G, and p is not in
     aff(G), so conv(r + p) is never flat.
-(b) A point after the initial simplex is the lex maximum so far. The tangent
-    cone at the previous maximum q is spanned by lex-negative vectors, and
-    the lex-positive p - q leaves it, so some simplex at q, i.e. one that
-    q's insertion made, is visible.
-(c) A skipped point lies in the flat F spanned by the initial points before
-    it. F meets the hull so far in a face whose points all precede p in lex
-    order, so p lies outside that face and the hull: like every other
-    point, it sees a simplex, and no point is dropped.
-(d) The visible simplices are those of the visible true facets, which form
+(b) The visible simplices are those of the visible true facets, which form
     a ball, so a walk across ridges from one of them reaches them all.
+(c) A point q beyond a visible G that is still outside the new hull lies
+    beyond a new simplex, so orphans are offered only the new ones. Else q
+    lies in the tangent cone at p, which the facets through p cut out, each
+    holding a new simplex: q = p + l(x - p) with x in the old hull and
+    l > 1, and <z_G, y> - c_G, positive at p and at most 0 at x, is negative
+    at q, so q is not beyond G.
 
 Each simplex lies in a true facet, so simplices merge into facets by their
 hyperplane. With n = cross_rows(edge vectors), det(rows + [y]) == <n, y>:
@@ -43,7 +44,7 @@ from itertools import combinations, count
 from math import factorial
 
 from .errors import InternalCheckError
-from .linalg import cross_rows, dot, gcd_vec, rank, vsub
+from .linalg import cross_rows, dot, gcd_vec, vsub
 
 
 @dataclass(frozen=True)
@@ -133,24 +134,29 @@ class _F:
     verts: tuple[int, ...]
     normal: tuple[int, ...]  # outward, nonzero
     offset: int
+    nbrs: list  # nbrs[j]: the simplex across the ridge without verts[j]
+    out: list  # outside set: unplaced points strictly beyond this simplex
 
 
 def _build(pts, d) -> HullData:
-    # initial simplex: first d+1 affinely independent points in lex order
-    init = [0]
-    dirs: list[tuple[int, ...]] = []
-    for i in range(1, len(pts)):
-        cand = dirs + [vsub(pts[i], pts[0])]
-        if rank(cand) == len(cand):
-            dirs = cand
-            init.append(i)
-            if len(init) == d + 1:
+    # initial simplex of vertices: the lex minimum pts[0], then in turn the
+    # point farthest from the flat so far along the first of its normals u
+    # that is not constant on pts; the lowest index among the farthest is
+    # the lex-first point of a face, so a vertex
+    init, dirs = [0], []
+    axes = [tuple(int(j == k) for j in range(d)) for k in range(d)]
+    while len(init) <= d:
+        for e in combinations(axes, d - 1 - len(dirs)):
+            u = cross_rows(dirs + list(e))
+            h0 = dot(u, pts[0])
+            h, j = max((abs(dot(u, p) - h0), -i) for i, p in enumerate(pts))
+            if h:
                 break
-    if len(init) < d + 1:
-        raise InternalCheckError("hull_int called on rank-deficient input")
-
+        else:
+            raise InternalCheckError("hull_int called on rank-deficient input")
+        init.append(-j)
+        dirs.append(vsub(pts[-j], pts[0]))
     cen_sum = tuple(sum(pts[i][k] for i in init) for k in range(d))
-    cen_cnt = d + 1
 
     def make_facet(verts) -> _F:
         base = pts[verts[0]]
@@ -159,64 +165,69 @@ def _build(pts, d) -> HullData:
             raise InternalCheckError("flat boundary simplex")
         # the centroid of the initial simplex stays strictly inside
         offset = dot(n, base)
-        if dot(n, cen_sum) - cen_cnt * offset > 0:
-            return _F(verts, tuple(-x for x in n), -offset)
-        return _F(verts, n, offset)
+        if dot(n, cen_sum) - (d + 1) * offset > 0:
+            n, offset = tuple(-x for x in n), -offset
+        return _F(verts, n, offset, [None] * d, [])
 
-    def beyond(f: _F, ip: int) -> bool:
-        return dot(f.normal, pts[ip]) > f.offset
+    def assign(ips, ks):
+        # each point goes to the first simplex it is strictly beyond; one
+        # beyond none lies in the hull so far and is not extreme
+        for ip in ips:
+            for k in ks:
+                if dot(facets[k].normal, pts[ip]) > facets[k].offset:
+                    facets[k].out.append(ip)
+                    break
 
-    facets: dict[int, _F] = {}
-    ridge_map: dict[frozenset, list[int]] = {}
-    ids = count()
+    # simplex k omits init[k]; across its ridge without init[m] lies simplex m
+    facets = {k: make_facet(tuple(init[:k] + init[k + 1 :])) for k in range(d + 1)}
+    for f in facets.values():
+        f.nbrs = [init.index(v) for v in f.verts]
+    ids = count(d + 1)
+    assign([i for i in range(len(pts)) if i not in init], list(facets))
 
-    def ridges(verts):
-        return [frozenset(verts[:i] + verts[i + 1 :]) for i in range(len(verts))]
-
-    def add_facet(f: _F) -> int:
-        k = next(ids)
-        facets[k] = f
-        for r in ridges(f.verts):
-            ridge_map.setdefault(r, []).append(k)
-        return k
-
-    for omit in range(d + 1):
-        add_facet(make_facet(tuple(init[j] for j in range(d + 1) if j != omit)))
-
-    # Every point sees a facet (facts b, c). A point past init[-1] sees one
-    # the previous insertion made; skipped points before init[-1] and the
-    # first point after it scan all facets. The visible facets are connected
-    # (fact d): walk across ridges from the seed; the horizon is the ridges
-    # between a visible and an invisible facet.
-    at_prev = None
-    for ip in range(len(pts)):
-        if ip in init:
+    # insert the furthest point of an outside set; the visible simplices form
+    # a ball (fact b): walk across ridges from this one; the horizon is the
+    # ridges between a visible and an invisible simplex
+    pending = [k for k, f in facets.items() if f.out]
+    while pending:
+        k = pending.pop()
+        if k not in facets:
             continue
-        cands = facets if at_prev is None else at_prev
-        seed = next((k for k in cands if beyond(facets[k], ip)), None)
-        if seed is None:
-            raise InternalCheckError("inserted point sees no facet")
-        seen, stack, horizon = {seed: True}, [seed], []
+        z = facets[k].normal
+        ip = max(facets[k].out, key=lambda i: (dot(z, pts[i]), -i))
+        p = pts[ip]
+        seen, stack, horizon = {k: True}, [k], []
         while stack:
-            k = stack.pop()
-            for r in ridges(facets[k].verts):
-                a, b = ridge_map[r]
-                o = b if a == k else a
-                if o not in seen:
-                    seen[o] = beyond(facets[o], ip)
-                    if seen[o]:
-                        stack.append(o)
-                if not seen[o]:
-                    horizon.append(r)
-        for k in [k for k, visible in seen.items() if visible]:
-            f = facets.pop(k)
-            for r in ridges(f.verts):
-                owners = ridge_map[r]
-                owners.remove(k)
-                if not owners:
-                    del ridge_map[r]
-        new = [add_facet(make_facet(tuple(r) + (ip,))) for r in horizon]
-        at_prev = new if ip > init[-1] else None
+            a = stack.pop()
+            for j, b in enumerate(facets[a].nbrs):
+                if b not in seen:
+                    seen[b] = dot(facets[b].normal, p) > facets[b].offset
+                    if seen[b]:
+                        stack.append(b)
+                if not seen[b]:
+                    horizon.append((a, j, b))
+        # cone each horizon ridge to p; two new simplices meet on a ridge
+        # through p, keyed by its vertices other than p
+        new, glue = [], {}
+        for a, j, b in horizon:
+            ridge = facets[a].verts[:j] + facets[a].verts[j + 1 :]
+            c = next(ids)
+            facets[c] = f = make_facet(ridge + (ip,))
+            f.nbrs[-1] = b
+            nb = facets[b].nbrs
+            nb[nb.index(a)] = c
+            for i in range(d - 1):
+                key = frozenset(ridge[:i] + ridge[i + 1 :])
+                if key in glue:
+                    o, oi = glue.pop(key)
+                    f.nbrs[i], facets[o].nbrs[oi] = o, c
+                else:
+                    glue[key] = (c, i)
+            new.append(c)
+        # an orphan still outside the hull is beyond a new simplex (fact c)
+        orphans = [i for a, v in seen.items() if v for i in facets.pop(a).out]
+        assign([i for i in orphans if i != ip], new)
+        pending += [c for c in new if facets[c].out]
 
     # merge boundary simplices into true facets by supporting hyperplane;
     # each simplex adds its pyramid from pts[0] and its share of the weight

@@ -11,14 +11,15 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
+from operator import mul, sub
 
 
 def dot(a, b):
-    return sum(x * y for x, y in zip(a, b))
+    return sum(map(mul, a, b))
 
 
 def vsub(a, b):
-    return tuple(x - y for x, y in zip(a, b))
+    return tuple(map(sub, a, b))
 
 
 def det(rows) -> int | Fraction:
@@ -37,8 +38,8 @@ def det(rows) -> int | Fraction:
     sign = 1
     rest = rows[1:]
     for col in range(n):
-        sub = [tuple(r[c] for c in range(n) if c != col) for r in rest]
-        total += sign * rows[0][col] * det(sub)
+        minor = [tuple(r[c] for c in range(n) if c != col) for r in rest]
+        total += sign * rows[0][col] * det(minor)
         sign = -sign
     return total
 

@@ -28,6 +28,7 @@ from mvlab.bezout import (
     safe_move_range,
     simplex_audit,
     support_drop_set,
+    _move_frame,
     _moved_vertices,
 )
 from mvlab.errors import (
@@ -284,10 +285,10 @@ def test_shift_facet_centroid_outside():
 def test_shift_facet_flat_and_empty():
     for K in (simplex(2), cube(3), cross_polytope(3)):
         for i in range(len(facet_structure(K))):
-            w = _width(K, i)
-            assert _moved_vertices(K, i, -w) is None
+            w, frame = _width(K, i), _move_frame(K, i)
+            assert _moved_vertices(K, i, -w, frame) is None
             assert _brute_shift(K, i, -w).adim < K.dim
-            assert _moved_vertices(K, i, -2 * w) is None
+            assert _moved_vertices(K, i, -2 * w, frame) is None
             with pytest.raises(EmptyIntersection):
                 _brute_shift(K, i, -2 * w)
 
@@ -297,7 +298,7 @@ def test_shift_facet_vanishing_facet():
     K = truncated_simplex(2, F(1, 4))
     i = next(j for j, f in enumerate(facet_structure(K)) if f.normal == (1, 0))
     for t in (F(1, 4), F(1, 2)):
-        assert _moved_vertices(K, i, t) is None
+        assert _moved_vertices(K, i, t, _move_frame(K, i)) is None
         ref = _brute_shift(K, i, t)
         assert ref == simplex(2) and len(ref.facets) == 3
     assert safe_move_range(K, i)[1] == F(3, 16)
@@ -309,19 +310,19 @@ def test_safe_move_range_ladder():
     # ladders stop at their first rungs, -w/2 and w
     for K in _move_bodies():
         for i in range(len(facet_structure(K))):
-            w = _width(K, i)
+            w, frame = _width(K, i), _move_frame(K, i)
             t_min, t_max = safe_move_range(K, i)
             for ratio in (w / t_max, -w / 2 / t_min):
                 assert ratio.denominator == 1
                 assert ratio.numerator & (ratio.numerator - 1) == 0
             if t_max < w:
-                assert _moved_vertices(K, i, 2 * t_max) is None
+                assert _moved_vertices(K, i, 2 * t_max, frame) is None
             if t_min > -w / 2:
-                assert _moved_vertices(K, i, 2 * t_min) is None
+                assert _moved_vertices(K, i, 2 * t_min, frame) is None
             if len(K.vertices) == K.dim + 1:
                 assert (t_min, t_max) == (-w / 2, w)
                 for t in (-3 * w / 4, 4 * w):
-                    assert _moved_vertices(K, i, t) is not None
+                    assert _moved_vertices(K, i, t, frame) is not None
 
 
 def test_safe_move_range_thin_body():
@@ -644,9 +645,9 @@ def test_audit_climbs_only_the_ladder_it_reports(monkeypatch):
     seen = []
     rung = bezout._moved_vertices
 
-    def spy(K, i, t):
+    def spy(K, i, t, frame):
         seen.append(t)
-        return rung(K, i, t)
+        return rung(K, i, t, frame)
 
     bodies = [
         simplex(3), cube(3), cross_polytope(3), square_pyramid(),

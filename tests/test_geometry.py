@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 from itertools import combinations
+from math import lcm
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -18,6 +19,7 @@ from mvlab.errors import (
 )
 from mvlab.generators import cross_polytope, cube, random_points
 from mvlab.geometry import (
+    _from_int_points,
     Halfspace,
     Polytope,
     clip_halfspace,
@@ -365,6 +367,28 @@ def test_integer_rows_reference_images():
         P, factor = project_along(K, v)
         assert P == convex_hull(images, 2) and factor == abs(F(v[k]))
     assert interior_point(B) == tuple(sum(c) / 3 for c in zip(*B.vertices))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_minkowski_point_is_translation(n):
+    """A point operand moves the other body without a hull; the sum equals
+    the hull path's, facets, volume and integer rows included, in either
+    operand order, for full, lower-dimensional and point bodies."""
+    rng = random.Random(f"minkowski-point:{n}")
+    for _ in range(3):
+        q = convex_hull(random_points(rng, n, 1, 3, 3), n, allow_lower=True)
+        bodies = [rand_full_body(rng, n), rand_body(rng, n, count=2),
+                  rand_body(rng, n, count=n), rand_body(rng, n, count=1)]
+        for K in bodies:
+            (rk, sk), (rq, sq) = K.ints, q.ints
+            s = lcm(sk, sq)
+            a, b = s // sk, s // sq
+            rows = [tuple(a * x + b * y for x, y in zip(r, rq[0])) for r in rk]
+            ref = _from_int_points(rows, s, n)
+            for got in (minkowski_sum(K, q), minkowski_sum(q, K)):
+                assert (got, got.adim, got.facets, got.volume, got.ints) == (
+                    ref, ref.adim, ref.facets, ref.volume, ref.ints)
+                assert_rows(got)
 
 
 def test_integer_rows_ignored_by_equality():

@@ -1,15 +1,18 @@
-"""Hull engine: pinned outputs, a brute-force facet oracle, facet incidence,
-insertion-order paths."""
+"""Hull engine: pinned outputs, a brute-force facet oracle on general and
+interior-heavy clouds, facet incidence, insertion-order paths, and a spy on
+the boundary simplices the kernel makes."""
 
 import hashlib
 from fractions import Fraction as F
 from itertools import combinations, product
+from unittest.mock import patch
 
 from hypothesis import assume, example, given, settings, strategies as st
 
 from mvlab.generators import cross_polytope, cube, generate
 from mvlab.geometry import convex_hull, dilate, minkowski_sum, translate
-from mvlab.hull import _spans
+from mvlab import hull
+from mvlab.hull import _spans, hull_int
 from mvlab.linalg import cross_rows, dot, primitive_from_rational, rank, vsub
 
 
@@ -215,6 +218,70 @@ def test_hull_matches_brute_force(cloud):
     assert all(f.normalized_volume > 0 for f in P.facets)
 
 
+@st.composite
+def interior_heavy_clouds(draw):
+    """A lattice simplex, box or cross-polytope in R^3 or R^4, dilated by 1
+    or 2, plus lattice points of it: interior ones and ones on its facets
+    and edges, at most 20 points in all."""
+    d = draw(st.integers(min_value=3, max_value=4))
+    kind = draw(st.sampled_from(["simplex", "box", "cross"]))
+    k = draw(st.integers(min_value=1, max_value=2))
+    if kind == "simplex":
+        base = draw(st.lists(st.tuples(*[unit] * d), min_size=d + 1, max_size=d + 1))
+        assume(rank([vsub(p, base[0]) for p in base[1:]]) == d)
+    elif kind == "box":
+        sides = draw(st.tuples(*[st.integers(1, 2)] * d))
+        base = list(product(*[(0, s) for s in sides]))
+    else:
+        radii = draw(st.tuples(*[st.integers(1, 2)] * d))
+        base = [tuple(s * r * (i == j) for i in range(d))
+                for j, r in enumerate(radii) for s in (1, -1)]
+    base = [tuple(k * x for x in p) for p in base]
+    hd = hull_int(base, d)
+    box = [range(min(c), max(c) + 1) for c in zip(*base)]
+    inside = [p for p in product(*box)
+              if p not in base and all(dot(f.normal, p) <= f.offset for f in hd.facets)]
+    assume(inside)
+    extra = draw(st.lists(st.sampled_from(inside), min_size=1,
+                          max_size=min(20 - len(base), 12), unique=True))
+    return d, base + extra
+
+
+@settings(max_examples=40, deadline=None)
+@given(interior_heavy_clouds())
+def test_interior_heavy_matches_brute_force(cloud):
+    d, pts = cloud
+    P = convex_hull(pts, d)
+    planes, vertices = _brute_force(pts, d)
+    assert {(f.normal, f.offset) for f in P.facets} == planes
+    assert set(P.vertices) == vertices
+    assert P.volume == sum(f.offset * f.normalized_volume for f in P.facets) / d
+
+
+@settings(max_examples=60)
+@given(interior_heavy_clouds())
+def test_interior_heavy_inserts_no_interior_point(cloud):
+    # the initial simplex is made of vertices, and each inserted point is
+    # the furthest of an outside set. On these clouds, whose only extreme
+    # points are the base's vertices, no boundary simplex the kernel makes
+    # has a vertex strictly inside the final hull. On general clouds one
+    # can: a point beyond several simplices joins only the first one's set.
+    d, pts = cloud
+    made = []
+    make = hull._F
+
+    def spy(verts, *rest):
+        made.append(verts)
+        return make(verts, *rest)
+
+    with patch.object(hull, "_F", spy):
+        hd = hull_int(pts, d)
+    assert made
+    for i in {i for verts in made for i in verts}:
+        p = hd.points[i]
+        assert any(dot(f.normal, p) == f.offset for f in hd.facets)
+
+
 @settings(max_examples=80)
 @given(full_clouds(), st.data())
 def test_coordinate_permutation_invariance(cloud, data):
@@ -227,18 +294,15 @@ def test_coordinate_permutation_invariance(cloud, data):
 
 
 def test_points_before_initial_simplex():
-    # the first lex points are collinear (and in the first cloud (0, 2, 3)
-    # is coplanar with the first three chosen), so those points are inserted
-    # after the initial simplex, out of lex order; the second cloud's first
-    # point after the initial simplex sees no facet the skipped point made.
-    # In the third, the skipped (0, 2, 0) lies in the plane of an initial
-    # facet but outside it, and leaves the initial (0, 1, 1) on an edge. In
-    # the fourth, the skipped (0, 1, 0) ends in the relative interior of the
-    # facet x = 0 once the skipped (0, 2, 0) is in. Each skipped point is
-    # strictly beyond some facet when it is inserted, so none is dropped.
-    # Reversing the coordinates changes the insertion order, and translating
-    # changes no hull at all. The expected hulls were computed with the
-    # symbolically perturbed engine.
+    # the first lex points are collinear, so the initial simplex skips some
+    # of them: it takes the vertices farthest along normals of the flat so
+    # far, and the inner points of a run are never farthest. In the third
+    # cloud (0, 1, 1) lies on an edge of the initial facet in the plane
+    # x = 0, and in the fourth (0, 1, 0) does; neither is beyond a simplex,
+    # so both are dropped, and (0, 1, 0) ends in the relative interior of
+    # the facet x = 0. Reversing the coordinates changes the lex order, and
+    # translating changes no hull at all. The expected hulls were computed
+    # with the symbolically perturbed engine.
     clouds = [
         ([(0, 0, k) for k in range(5)]
          + [(0, 1, 0), (0, 2, 3), (1, 0, 0), (1, 1, 1), (2, -1, 2), (1, 1, 4)],
