@@ -2,15 +2,18 @@
 
 The polarization evaluator expands n!·V(K_1,...,K_n) by inclusion-exclusion
 over the n slots: sum over nonempty slot subsets S of (-1)^(n-|S|) times the
-volume of the Minkowski sum over S. Repeated slots are summed as dilates
-(K + K = 2K for convex K), and the Minkowski sum of each sorted body tuple
-is kept in a bounded LRU cache, emptied by clear_caches, so a subset
-shared by several mixed volumes is usually summed once.
+volume of the Minkowski sum over S; a subset whose affine dimensions add
+up to less than n has a flat sum and is skipped. Repeated slots are summed
+as dilates (K + K = 2K for convex K). Each sorted body tuple's sum is built
+on its prefix's and kept in a bounded LRU cache, emptied by clear_caches,
+so a subset shared by several sums is usually summed once.
 
 The measure path represents V(L, K_1,...,K_{n-1}) = (1/n) sum of
 h_L(z) * w(z) over the atoms of the mixed area measure of (K_1,...,K_{n-1});
 atom weights are (n-1)-dimensional mixed volumes of faces, projected along
-a coordinate axis. The two paths are independent oracles for each other.
+a coordinate axis; a normal at which some face is a point is skipped. Both
+skips drop only terms that are 0 by a dimension count (Schneider, Convex
+Bodies, 2nd ed., Thm 5.1.8), so the paths stay independent oracles.
 
 A segment slot is taken by one rational projection (Schneider, Convex
 Bodies, 2nd ed., section 5.1): with k the first nonzero coordinate of v and
@@ -35,7 +38,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations, groupby
+from itertools import combinations
 from math import factorial
 
 from .errors import (
@@ -115,14 +118,14 @@ def _checked(bodies, missing: int):
 
 @lru_cache(maxsize=256)
 def _subset_sum(bodies: tuple) -> Polytope:
-    """Minkowski sum of a tuple of bodies sorted by key; repeated bodies are
-    folded as dilates."""
-    total = None
-    for body, copies in groupby(bodies):
-        count = sum(1 for _ in copies)
-        part = dilate(body, count) if count > 1 else body
-        total = part if total is None else minkowski_sum(total, part)
-    return total
+    """Minkowski sum of a tuple of bodies sorted by key: the sum of the
+    prefix, itself a cached sorted tuple, plus the trailing run of equal
+    bodies folded as one dilate."""
+    last = bodies[-1]
+    k = bodies.index(last)  # sorted: bodies[k:] are the copies of last
+    copies = len(bodies) - k
+    part = dilate(last, copies) if copies > 1 else last
+    return minkowski_sum(_subset_sum(bodies[:k]), part) if k else part
 
 
 def clear_caches():
@@ -131,7 +134,9 @@ def clear_caches():
 
 
 def mixed_volume(bodies) -> Fraction:
-    """Exact mixed volume of n bodies in R^n (repetitions allowed)."""
+    """Exact mixed volume of n bodies in R^n (repetitions allowed); a subset
+    whose affine dimensions add up to less than n has a flat sum (dim(A + B)
+    <= dim A + dim B), so its volume 0 is not computed."""
     bodies, n = _checked(bodies, 0)
     # sorted once, every index-ordered subset is a sorted tuple
     bodies.sort(key=Polytope.key)
@@ -139,7 +144,8 @@ def mixed_volume(bodies) -> Fraction:
     for size in range(1, n + 1):
         sign = (-1) ** (n - size)
         for subset in combinations(bodies, size):
-            total += sign * _subset_sum(subset).volume
+            if sum(b.adim for b in subset) >= n:
+                total += sign * _subset_sum(subset).volume
     return total / factorial(n)
 
 
@@ -251,7 +257,8 @@ def mixed_area_measure(bodies) -> DiscreteMeasure:
     (the two hull-plane normals when that sum is (n-1)-dimensional); the
     atom weight at z is the (n-1)-dimensional mixed volume of the faces in
     direction z, projected along e_k for a coordinate k with maximal |z_k|
-    and divided by |z_k|. Atoms of zero weight are dropped.
+    and divided by |z_k|. Atoms of zero weight are dropped; so is z, before
+    any projection, when some face is a point (a point slot gives 0).
     """
     bodies, n = _checked(bodies, 1)
     total = _subset_sum(tuple(sorted(bodies, key=Polytope.key)))
@@ -265,10 +272,12 @@ def mixed_area_measure(bodies) -> DiscreteMeasure:
 
     weights = {}
     for z in candidates:
+        faces = [face_in_direction(b, z) for b in bodies]
+        if any(f.adim == 0 for f in faces):
+            continue  # a point slot: the atom's weight is 0
         k = max(range(n), key=lambda i: abs(z[i]))
         axis = tuple(int(i == k) for i in range(n))
-        faces = [project_along(face_in_direction(b, z), axis)[0] for b in bodies]
-        w = mixed_volume(faces)
+        w = mixed_volume([project_along(f, axis)[0] for f in faces])
         if w:
             weights[z] = w / abs(z[k])
     return _make_measure(n, weights)

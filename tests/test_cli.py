@@ -2,6 +2,7 @@ import hashlib
 import json
 import re
 import sys
+from fractions import Fraction
 
 import pytest
 
@@ -220,6 +221,32 @@ def test_pinned_report_digests(capsys, command, code, digest):
     got, rep = run_json(capsys, command.split())
     text = canonical_json(strip_timing(rep))
     assert (got, hashlib.sha256(text.encode()).hexdigest()) == (code, digest)
+
+
+MV4_DOCS = {
+    "seg_a": [(0, 0, 0, 0), (1, 2, 0, -1)],
+    "seg_b": [(1, 0, 1, 0), (0, Fraction(1, 2), -1, 2)],
+    "tri_a": [(0, 0, 0, 0), (1, 2, 0, 1), (0, 1, 3, 0)],
+    "tri_b": [(1, 0, 0, 2), (0, 0, 2, 1), (2, 1, Fraction(1, 2), 0)],
+}
+
+
+def test_pinned_mv_d4_input_digest(tmp_path, capsys):
+    """A 4D mv on (segment, segment, triangle, triangle) documents read by
+    --input, the shape whose zero terms both oracles skip."""
+    argv = ["mv"]
+    for name, points in MV4_DOCS.items():
+        body = convex_hull(points, 4, allow_lower=True)
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(serialize_polytope(body, name=name)))
+        argv += ["--input", str(path)]
+    code, rep = run_json(capsys, argv)
+    assert rep["results"]["mixed_volume"] == [49, 48]
+    text = canonical_json(strip_timing(rep))
+    assert (code, hashlib.sha256(text.encode()).hexdigest()) == (
+        0,
+        "fbdbca2b679f68e7196bc6e4695e2a72dee13feac019d3df8df416135b96c66b",
+    )
 
 
 @pytest.mark.parametrize(

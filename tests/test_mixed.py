@@ -1,6 +1,7 @@
 import itertools
 import random
 from fractions import Fraction
+from math import factorial, gcd
 
 import pytest
 
@@ -20,7 +21,16 @@ from mvlab.errors import (
     ZeroVector,
 )
 from mvlab.generators import cross_polytope, simplex
-from mvlab.geometry import Polytope, convex_hull, dilate, minkowski_sum, translate
+from mvlab.geometry import (
+    Polytope,
+    _from_points,
+    convex_hull,
+    dilate,
+    face_in_direction,
+    minkowski_sum,
+    project_along,
+    translate,
+)
 from mvlab.mixed import (
     _mixed_volume_fast,
     clear_caches,
@@ -248,6 +258,19 @@ def test_oracle_equivalence_random():
         )
 
 
+def test_oracle_equivalence_mv_d4_shape():
+    """(segment, segment, triangle, triangle) in R^4, the shape of the 4D
+    mv command in the benchmark session: both oracles agree."""
+    rng = random.Random("oracle4")
+    clear_caches()
+    for _ in range(20):
+        bodies = [rand_segment(rng, 4), rand_segment(rng, 4)]
+        bodies += [rand_body(rng, 4, count=3) for _ in range(2)]
+        assert mixed_volume(bodies) == mixed_volume_via_measure(
+            bodies[0], bodies[1:]
+        )
+
+
 def test_measure_support_matches_surface_measure():
     rng = random.Random("supp")
     for _ in range(8):
@@ -367,3 +390,175 @@ def test_fast_evaluator_branches(monkeypatch):
         assert _mixed_volume_fast(bodies) == expected
         assert bool(calls) == falls_back
         monkeypatch.undo()
+
+
+# ------------------------------------------------------- cache and zero terms
+
+
+def _sum_tuples(n):
+    """Seeded sorted body tuples for _subset_sum at n: mixed dimensions,
+    a repeated body (the dilate fold) and a point body."""
+    rng = random.Random(f"subsetsum:{n}")
+    for pattern in ((0, 1, 2, 0), (0, 0, 0, 1), (3, 1, 2, 0), (3, 0, 0, 2)):
+        pool = [
+            rand_body(rng, n, count=n + 1),
+            rand_segment(rng, n),
+            rand_body(rng, n, count=3),
+            rand_body(rng, n, count=1),  # a point
+        ]
+        bodies = [pool[i] for i in pattern[:n]]
+        yield tuple(sorted(bodies, key=Polytope.key))
+
+
+def _canonical_ints(P):
+    """P.ints reduced to the least scale: equal for any two scales that
+    represent the same vertex rows."""
+    rows, s = P.ints
+    g = gcd(s, *(c for row in rows for c in row))
+    return tuple(tuple(c // g for c in row) for row in rows), s // g
+
+
+def _fingerprint(P):
+    return P.adim, P.vertices, P.facets, P.volume, _canonical_ints(P)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_subset_sum_independent_of_cache_state(n):
+    """Each sum equals the hull of all vertex sums, whether it is built
+    from a cold cache or on prefixes cached in shuffled order."""
+    rng = random.Random(f"prefill:{n}")
+    for bodies in _sum_tuples(n):
+        brute = _from_points(
+            {
+                tuple(sum(c) for c in zip(*vs))
+                for vs in itertools.product(*(b.vertices for b in bodies))
+            },
+            n,
+        )
+        clear_caches()
+        cold = mixed._subset_sum(bodies)
+        clear_caches()
+        prefixes = [bodies[:k] for k in range(1, len(bodies))]
+        rng.shuffle(prefixes)
+        for prefix in prefixes:
+            mixed._subset_sum(prefix)
+        warm = mixed._subset_sum(bodies)
+        assert _fingerprint(cold) == _fingerprint(brute)
+        assert (_fingerprint(warm), warm.ints) == (_fingerprint(cold), cold.ints)
+    clear_caches()
+
+
+def _zero_term_tuples():
+    """Seeded tuples at n = 2..4 with point faces at most normals and
+    subsets of too few dimensions: points, segments and triangles."""
+    rng = random.Random("zeroterms")
+    for n, count in ((2, 6), (3, 6), (4, 4)):
+        for i in range(count):
+            bodies = [rand_segment(rng, n), rand_body(rng, n, count=3)]
+            bodies += [rand_body(rng, n, count=(3, n + 1)[i % 2])
+                       for _ in range(n - 2)]
+            if i == 1:
+                bodies[-1] = rand_body(rng, n, count=1)  # a point
+            yield bodies
+
+
+def _fold(bodies):
+    total = bodies[0]
+    for body in bodies[1:]:
+        total = minkowski_sum(total, body)
+    return total
+
+
+def _reference_mixed_volume(bodies):
+    """Polarization over every slot subset, each sum folded from scratch
+    with no cache and no skip."""
+    n = len(bodies)
+    total = Fraction(0)
+    for size in range(1, n + 1):
+        for subset in itertools.combinations(bodies, size):
+            total += (-1) ** (n - size) * _fold(subset).volume
+    return total / factorial(n)
+
+
+def _candidates(bodies):
+    """The candidate normals of mixed_area_measure, from the folded sum."""
+    n = bodies[0].dim
+    total = _fold(bodies)
+    if total.adim == n:
+        return [f.normal for f in total.facets]
+    if total.adim == n - 1:
+        z0 = mixed._flat_normal(total)
+        return [z0, tuple(-c for c in z0)]
+    return []
+
+
+def _reference_measure(bodies):
+    """mixed_area_measure's atoms with every candidate normal polarized by
+    the reference, point faces included."""
+    n = bodies[0].dim
+    atoms = []
+    for z in _candidates(bodies):
+        k = max(range(n), key=lambda i: abs(z[i]))
+        axis = tuple(int(i == k) for i in range(n))
+        faces = [project_along(face_in_direction(b, z), axis)[0] for b in bodies]
+        w = _reference_mixed_volume(faces)
+        if w:
+            atoms.append((z, w / abs(z[k])))
+    return tuple(sorted(atoms))
+
+
+def test_skipped_terms_are_zero():
+    """Without either skip the value and the atoms are the same, so every
+    term skipped is 0."""
+    clear_caches()
+    for bodies in _zero_term_tuples():
+        assert mixed_volume(bodies) == _reference_mixed_volume(bodies)
+        assert mixed_area_measure(bodies[1:]).atoms == _reference_measure(bodies[1:])
+
+
+def test_mixed_volume_requests_no_flat_sum(monkeypatch):
+    """mixed_volume asks _subset_sum for no subset whose affine dimensions
+    add up to less than n, though such subsets occur; a sum it asks for
+    may still build a flat prefix, one level down."""
+    real = mixed._subset_sum
+    requests, depth = [], [0]
+
+    def spy(bodies):
+        if depth[0] == 0:
+            requests.append(bodies)
+        depth[0] += 1
+        try:
+            return real(bodies)
+        finally:
+            depth[0] -= 1
+
+    flat = 0
+    clear_caches()
+    monkeypatch.setattr(mixed, "_subset_sum", spy)
+    for bodies in _zero_term_tuples():
+        n = len(bodies)
+        for k in range(1, n + 1):
+            flat += sum(
+                sum(b.adim for b in s) < n for s in itertools.combinations(bodies, k)
+            )
+        mixed_volume(bodies)
+    assert flat and requests
+    assert all(sum(b.adim for b in s) >= s[0].dim for s in requests)
+    monkeypatch.undo()
+    clear_caches()
+
+
+def test_measure_polarizes_no_point_face(monkeypatch):
+    """mixed_area_measure calls mixed_volume on no face tuple that holds a
+    point, though such normals occur."""
+    calls, point_faces = [], 0
+    monkeypatch.setattr(
+        mixed, "mixed_volume", lambda b: calls.append(list(b)) or mixed_volume(b)
+    )
+    for bodies in _zero_term_tuples():
+        rest = bodies[1:]
+        for z in _candidates(rest):
+            point_faces += any(face_in_direction(b, z).adim == 0 for b in rest)
+        mixed_area_measure(rest)
+    assert calls and point_faces
+    assert all(b.adim > 0 for faces in calls for b in faces)
