@@ -30,7 +30,7 @@ def _count(v, what: str) -> int:
 def _rational(v, what: str) -> Fraction:
     try:
         return Fraction(v)
-    except (TypeError, ValueError, OverflowError):
+    except (TypeError, ValueError, OverflowError, ZeroDivisionError):
         raise BadParams(f"{what} must be a rational number, got {v!r}") from None
 
 

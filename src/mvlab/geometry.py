@@ -31,12 +31,10 @@ from .errors import (
 )
 from .hull import hull_int
 from .linalg import (
-    _eliminate,
     cross_rows,
     dot,
     primitive_from_rational,
     scale_to_int,
-    vsub,
 )
 
 DIM_CAP = 4  # polarization cost is 2^n - 1 volumes; keep n small
@@ -106,42 +104,23 @@ def _as_point(p, dim) -> tuple[Fraction, ...]:
     return q
 
 
-def _affine_pivots(pts):
-    """Rank and pivot columns of the difference space of pts."""
-    diffs = [vsub(p, pts[0]) for p in pts[1:]]
-    pivots, _ = _eliminate(diffs, len(pts[0]))
-    return len(pivots), pivots
-
-
 def empty_polytope(dim: int) -> Polytope:
     return Polytope(dim, -1, (), (), Fraction(0))
 
 
 def _from_points(points, dim: int) -> Polytope:
-    """Hull of exact rational points; detects the affine dimension.
-    Clears denominators once and hands over to _from_int_points."""
+    """Hull of exact rational points, of any affine dimension. Clears
+    denominators once and hands over to _from_int_points."""
     rows, s = scale_to_int(points)
     return _from_int_points(rows, s, dim)
 
 
 def _from_int_points(rows, s: int, dim: int) -> Polytope:
-    """Hull of the points rows[i] / s, for integer rows and s > 0, built in
-    integers; the body keeps its vertex rows at scale s. At a positive
+    """Hull of the nonempty point set rows[i] / s, for integer rows and
+    s > 0, built in integers by hull_int, which also finds its affine
+    dimension; the body keeps its vertex rows at scale s. At a positive
     scale, integer rows sort in the lex order of the points."""
-    pts = sorted(set(rows))
-    if len(pts) <= 1:  # empty (adim -1) or one point (adim 0)
-        return _body(dim, len(pts) - 1, tuple(pts), s, (), Fraction(0))
-    r, pivots = _affine_pivots(pts)
-    if r < dim:
-        # chart: restriction to the pivot coordinates is injective on the
-        # affine hull, so the extreme points can be found there
-        chart = [tuple(p[c] for c in pivots) for p in pts]
-        back = dict(zip(chart, pts))
-        hd = hull_int(chart, r)
-        verts = tuple(sorted(back[hd.points[i]] for i in hd.vertex_indices))
-        return _body(dim, r, verts, s, (), Fraction(0))
-
-    hd = hull_int(pts, dim)
+    hd = hull_int(rows, dim)
     position = {i: k for k, i in enumerate(hd.vertex_indices)}
     facets = []
     for hf in hd.facets:
@@ -149,7 +128,7 @@ def _from_int_points(rows, s: int, dim: int) -> Polytope:
         weight = hf.weight / s ** (dim - 1)
         facets.append(FacetData(hf.normal, Fraction(hf.offset, s), incident, weight))
     verts = tuple(hd.points[i] for i in hd.vertex_indices)
-    return _body(dim, dim, verts, s, tuple(facets), hd.volume / s**dim)
+    return _body(dim, hd.adim, verts, s, tuple(facets), hd.volume / s**dim)
 
 
 def _body(dim, adim, rows, s, facets, volume) -> Polytope:
@@ -239,13 +218,10 @@ def vertex_enumeration(halfspaces, dim: int) -> Polytope:
 def _origin_interior(normals, dim) -> bool:
     """True iff 0 is interior to conv(normals); equivalent to boundedness
     of the intersection of the halfspaces <x, normal> <= bound."""
-    if len(normals) <= dim:
-        return False
-    r, _ = _affine_pivots(sorted(normals))
-    if r < dim:
+    if not normals:
         return False
     hd = hull_int(normals, dim)
-    return all(f.offset > 0 for f in hd.facets)
+    return hd.adim == dim and all(f.offset > 0 for f in hd.facets)
 
 
 def facet_structure(P: Polytope):

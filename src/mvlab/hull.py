@@ -1,10 +1,19 @@
 """Convex hull engine on integer coordinates, exact in all dimensions up to 4.
 
-The 3D/4D path is Quickhull (Barber, Dobkin & Huhdanpaa, *The Quickhull
+hull_int takes any nonempty point set in R^d, deduplicated and sorted. One
+search (_initial_simplex) finds r+1 affinely independent hull vertices, r
+the affine dimension. A flat set (r < d) has no facets and volume 0; its
+extreme points are all r+1 points, the lex ends of a line, or those of its
+chart, the coordinates at the pivot columns of the echelon form of the r
+directions. The chart is injective on the flat and keeps the lex order (an
+echelon row vanishes before its pivot), so its vertex indices index pts.
+
+A full-dimensional set in the plane goes to a monotone chain; in 1D, 3D
+and 4D it goes to Quickhull (Barber, Dobkin & Huhdanpaa, *The Quickhull
 algorithm for convex hulls*, ACM TOMS 22(4), 1996) on a triangulation of the
 hull's boundary into (d-1)-simplices, each with its d neighbours and an
-outside set. Points are deduplicated and sorted, and the initial simplex is
-made of d+1 vertices of the hull. Every other point joins the outside set
+outside set. The initial simplex is the search's d+1 vertices, and in 1D
+it is the whole hull. Every other point joins the outside set
 of the first simplex it lies strictly beyond, or is dropped: a point in the
 hull so far is not extreme. While an outside set is nonempty, its point p
 with the largest <normal, p> (lowest index on ties) replaces the simplices
@@ -44,7 +53,7 @@ from itertools import combinations, count
 from math import factorial
 
 from .errors import InternalCheckError
-from .linalg import cross_rows, dot, gcd_vec, vsub
+from .linalg import _eliminate, cross_rows, dot, gcd_vec, vsub
 
 
 @dataclass(frozen=True)
@@ -58,29 +67,30 @@ class HullFacet:
 @dataclass(frozen=True)
 class HullData:
     dim: int
+    adim: int  # affine dimension of the points
     points: tuple[tuple[int, ...], ...]  # deduplicated, lex sorted
     vertex_indices: tuple[int, ...]  # extreme points, as indices into points
-    facets: tuple[HullFacet, ...]  # sorted by normal
-    volume: Fraction  # pyramid decomposition from points[0]
+    facets: tuple[HullFacet, ...]  # sorted by normal; () when adim < dim
+    volume: Fraction  # pyramid decomposition from points[0]; 0 when adim < dim
 
 
 def hull_int(raw_points, dim: int) -> HullData:
-    """Hull of integer points that affinely span R^dim (caller checks rank)."""
+    """Hull of a nonempty set of integer points in R^dim, of any affine
+    dimension (module docstring)."""
     pts = sorted(set(tuple(p) for p in raw_points))
-    if dim == 1:
-        return _hull_1d(pts)
-    if dim == 2:
-        return _hull_2d(pts)
-    return _build(pts, dim)
-
-
-def _hull_1d(pts) -> HullData:
-    lo, hi = pts[0][0], pts[-1][0]
-    facets = (
-        HullFacet((-1,), -lo, Fraction(1), (0,)),
-        HullFacet((1,), hi, Fraction(1), (len(pts) - 1,)),
-    )
-    return HullData(1, tuple(pts), (0, len(pts) - 1), facets, Fraction(hi - lo))
+    init, dirs = _initial_simplex(pts, dim)
+    r = len(dirs)
+    if r == dim:
+        return _hull_2d(pts) if dim == 2 else _build(pts, dim, init)
+    if len(pts) == r + 1:
+        verts = range(len(pts))
+    elif r == 1:
+        verts = (0, len(pts) - 1)
+    else:
+        pivots, _ = _eliminate(dirs, dim)
+        chart = [tuple(p[c] for c in pivots) for p in pts]
+        verts = hull_int(chart, r).vertex_indices
+    return HullData(dim, r, tuple(pts), tuple(verts), (), Fraction(0))
 
 
 def _cross2(o, a, b):
@@ -113,6 +123,7 @@ def _hull_2d(pts) -> HullData:
     facets.sort(key=lambda f: f.normal)
     return HullData(
         2,
+        2,
         tuple(pts),
         tuple(sorted(index[p] for p in ring)),
         tuple(facets),
@@ -138,14 +149,18 @@ class _F:
     out: list  # outside set: unplaced points strictly beyond this simplex
 
 
-def _build(pts, d) -> HullData:
-    # initial simplex of vertices: the lex minimum pts[0], then in turn the
-    # point farthest from the flat so far along the first of its normals u
-    # that is not constant on pts; the lowest index among the farthest is
-    # the lex-first point of a face, so a vertex
+def _initial_simplex(pts, d):
+    """(init, dirs): r+1 affinely independent vertices of conv(pts), as
+    indices, and the differences of the last r from the first, r the affine
+    dimension of pts. The lex minimum pts[0] comes first; then, in turn, the
+    point farthest from the flat so far along the first of its normals u
+    that is not constant on pts. The lowest index among the farthest is the
+    lex-first point of a face, so a vertex. The search stops when every
+    such u is constant on pts, so that pts lie in the flat (these u span the
+    complement of dirs), or when every point is used."""
     init, dirs = [0], []
     axes = [tuple(int(j == k) for j in range(d)) for k in range(d)]
-    while len(init) <= d:
+    while len(dirs) < d and len(init) < len(pts):
         for e in combinations(axes, d - 1 - len(dirs)):
             u = cross_rows(dirs + list(e))
             h0 = dot(u, pts[0])
@@ -153,9 +168,13 @@ def _build(pts, d) -> HullData:
             if h:
                 break
         else:
-            raise InternalCheckError("hull_int called on rank-deficient input")
+            break
         init.append(-j)
         dirs.append(vsub(pts[-j], pts[0]))
+    return init, dirs
+
+
+def _build(pts, d, init) -> HullData:
     cen_sum = tuple(sum(pts[i][k] for i in init) for k in range(d))
 
     def make_facet(verts) -> _F:
@@ -256,4 +275,4 @@ def _build(pts, d) -> HullData:
     out.sort(key=lambda f: f.normal)
 
     volume = Fraction(vol_scaled, factorial(d))
-    return HullData(d, tuple(pts), tuple(sorted(vertex)), tuple(out), volume)
+    return HullData(d, d, tuple(pts), tuple(sorted(vertex)), tuple(out), volume)

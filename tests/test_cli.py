@@ -415,6 +415,20 @@ def test_bad_gen_spec(capsys):
         assert rep["error"]["type"] == "BadParams", spec
 
 
+@pytest.mark.parametrize(
+    "spec",
+    ["prism:triangle,1/0", "regular_polygon:8,1/0", "truncated_simplex:3,1/0",
+     "ball_approx_3d:1,1/0"],
+)
+def test_gen_zero_denominator(capsys, spec):
+    # a rational parameter with denominator 0 is a usage error (exit 2), not
+    # an escaped ZeroDivisionError, whose exit 1 would read as a verdict
+    code, rep = run_json(capsys, ["audit", "--gen", spec])
+    assert code == 2
+    assert rep["error"]["type"] == "BadParams"
+    assert "1/0" in rep["error"]["message"]
+
+
 def test_gen_decimal_denominator_cap(capsys):
     code, rep = run_json(
         capsys,

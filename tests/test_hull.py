@@ -1,6 +1,7 @@
 """Hull engine: pinned outputs, a brute-force facet oracle on general and
-interior-heavy clouds, facet incidence, insertion-order paths, and a spy on
-the boundary simplices the kernel makes."""
+interior-heavy clouds, facet incidence, insertion-order paths, flat and 1D
+input, and spies on the boundary simplices the kernel makes and on its
+rank decisions."""
 
 import hashlib
 from fractions import Fraction as F
@@ -11,7 +12,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from mvlab.generators import cross_polytope, cube, generate
 from mvlab.geometry import convex_hull, dilate, minkowski_sum, translate
-from mvlab import hull
+from mvlab import hull, linalg
 from mvlab.hull import _spans, hull_int
 from mvlab.linalg import cross_rows, dot, primitive_from_rational, rank, vsub
 
@@ -30,6 +31,7 @@ def _box(sides):
 
 
 # unimodular maps: integer matrices of determinant +-1
+_U2 = ((2, 1), (1, 1))
 _U3 = ((1, 2, 0), (0, 1, 3), (1, 2, 1))
 _U4 = ((1, 1, 0, 2), (0, 1, 2, 0), (0, 0, 1, -1), (1, 1, 0, 1))
 
@@ -329,3 +331,98 @@ def test_points_before_initial_simplex():
         assert inner not in P.vertices and (0, 0, 0) in P.vertices
         if expected is not None:
             assert (set(P.vertices), P.volume, len(P.facets)) == expected
+
+
+@st.composite
+def flat_clouds(draw):
+    """(r, n, perm, cloud): a lattice cloud in R^r, r = 1..3, to be lifted
+    to R^n, r < n <= 4, with its coordinates permuted by perm after the
+    lift (_lift). It holds r+1 affinely independent points, alone or with a
+    collinear run from the first through the second and more points of R^r,
+    so points inside the flat hull and on its boundary are common. Some
+    permutations make the first r coordinates of the lift constant."""
+    r = draw(st.integers(min_value=1, max_value=3))
+    n = draw(st.integers(min_value=r + 1, max_value=4))
+    base = draw(st.lists(st.tuples(*[coord] * r), min_size=r + 1, max_size=r + 1))
+    assume(rank([vsub(p, base[0]) for p in base[1:]]) == r)
+    step = vsub(base[1], base[0])
+    run = [tuple(a + t * b for a, b in zip(base[0], step))
+           for t in range(2, 2 + draw(st.integers(min_value=0, max_value=2)))]
+    extra = draw(st.lists(st.tuples(*[coord] * r), max_size=2 * r + 2))
+    perm = draw(st.permutations(range(n)))
+    return r, n, perm, sorted(set(base + run + extra))
+
+
+_LIFTS = {2: _U2, 3: _U3, 4: _U4}
+
+
+def _lift(pts, r, n, perm):
+    """Points of R^r, zero-padded to R^n, mapped by a unimodular matrix and
+    with their coordinates permuted: an injective affine map."""
+    lifted = _image(_LIFTS[n], [p + (0,) * (n - r) for p in pts])
+    return [tuple(q[i] for i in perm) for q in lifted]
+
+
+@settings(max_examples=80)
+@example((3, 4, (0, 1, 2, 3), [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)]))
+@example((2, 3, (0, 1, 2), [(0, 0), (1, 1), (2, 2), (3, 3), (0, 1)]))
+@example((2, 4, (2, 0, 1, 3), [(0, 0), (2, 0), (0, 2), (1, 1), (2, 2)]))
+@given(flat_clouds())
+def test_flat_hull_vertices(cloud):
+    # the lift is injective and affine, so the flat hull's extreme points
+    # are the images of the cloud's, found over all its r-subsets
+    r, n, perm, pts = cloud
+    hd = hull_int(_lift(pts, r, n, perm), n)
+    assert (hd.dim, hd.adim, hd.facets, hd.volume) == (n, r, (), 0)
+    _, extreme = _brute_force(pts, r)
+    assert {hd.points[i] for i in hd.vertex_indices} == set(_lift(extreme, r, n, perm))
+
+
+@given(st.lists(st.integers(-10**6, 10**6), min_size=2, unique=True))
+def test_line_hull(xs):
+    # at d = 1 the kernel's two-point initial simplex is the whole hull
+    m, lo, hi = len(xs), min(xs), max(xs)
+    facets = (hull.HullFacet((-1,), -lo, F(1), (0,)),
+              hull.HullFacet((1,), hi, F(1), (m - 1,)))
+    points = tuple(sorted((x,) for x in xs))
+    assert hull_int([(x,) for x in xs], 1) == hull.HullData(
+        1, 1, points, (0, m - 1), facets, F(hi - lo))
+
+
+def _rank_decisions(pts, d):
+    """The dimensions of the initial-simplex searches and the row counts of
+    the eliminations, in the hull kernel and in linalg, that building
+    convex_hull(pts, d, allow_lower=True) makes."""
+    searches, rows = [], []
+    search, eliminate = hull._initial_simplex, linalg._eliminate
+
+    def spy_search(points, dim):
+        searches.append(dim)
+        return search(points, dim)
+
+    def spy_eliminate(mat, ncols):
+        rows.append(len(mat))
+        return eliminate(mat, ncols)
+
+    with patch.object(hull, "_initial_simplex", spy_search), \
+            patch.object(hull, "_eliminate", spy_eliminate), \
+            patch.object(linalg, "_eliminate", spy_eliminate):
+        convex_hull(pts, d, allow_lower=True)
+    return searches, rows
+
+
+def test_one_rank_decision_per_hull():
+    # a full-dimensional hull is one search and no elimination
+    for d, pts in ((1, [(3,), (-1,), (0,)]),
+                   (2, _image(_U2, _box((2, 3)))),
+                   (3, _image(_U3, _box((2, 1, 3)))),
+                   (4, _image(_U4, _box((2, 1, 1, 2))))):
+        assert _rank_decisions(pts, d) == ([d], []), d
+    # a flat one eliminates only its r basis rows, and its chart is one
+    # more hull; a line or r+1 points need neither
+    for r, pts in ((2, _box((2, 2))), (3, _box((2, 1, 2)))):
+        assert _rank_decisions(_lift(pts, r, 4, range(4)), 4) == ([4, r], [r]), r
+    line = [(k,) for k in range(5)]
+    assert _rank_decisions(_lift(line, 1, 4, range(4)), 4) == ([4], [])
+    triangle = _box((1, 1))[:3]
+    assert _rank_decisions(_lift(triangle, 2, 4, range(4)), 4) == ([4], [])
