@@ -75,12 +75,13 @@ class HullData:
 
 
 def hull_int(raw_points, dim: int) -> HullData:
-    """Hull of a nonempty set of integer points in R^dim, of any affine
-    dimension (module docstring)."""
+    """Hull of a nonempty set of integer points in R^dim, dim >= 0, of any
+    affine dimension (module docstring). A point in R^0 takes the flat
+    path: it is its own r+1 = 1 extreme point."""
     pts = sorted(set(tuple(p) for p in raw_points))
     init, dirs = _initial_simplex(pts, dim)
     r = len(dirs)
-    if r == dim:
+    if r == dim > 0:
         return _hull_2d(pts) if dim == 2 else _build(pts, dim, init)
     if len(pts) == r + 1:
         verts = range(len(pts))

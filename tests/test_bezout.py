@@ -398,6 +398,9 @@ def test_projection_preserved():
     assert not projection_preserved(sq, M, (1, -1))
     with pytest.raises(ZeroVector):
         projection_preserved(sq, M, (0, 0))
+    # segments of R^1 project onto the same point of R^0
+    seg = convex_hull([(0,), (3,)], 1)
+    assert projection_preserved(seg, convex_hull([(1,), (2,)], 1), (1,))
 
 
 def test_support_drop_set():

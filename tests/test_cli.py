@@ -415,6 +415,14 @@ def test_bad_gen_spec(capsys):
         assert rep["error"]["type"] == "BadParams", spec
 
 
+def test_strict_rejects_line(capsys):
+    # strict needs a body of dimension 2..4; a segment is a usage error
+    # (exit 2), not a verdict
+    code, rep = run_json(capsys, ["strict", "--gen", "cube:1"])
+    assert code == 2
+    assert rep["error"]["type"] == "BadParams"
+
+
 @pytest.mark.parametrize(
     "spec",
     ["prism:triangle,1/0", "regular_polygon:8,1/0", "truncated_simplex:3,1/0",

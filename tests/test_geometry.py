@@ -284,6 +284,14 @@ def test_project_along_axis():
     assert P.volume == 1
 
 
+def test_project_along_from_line():
+    # R^1 projects onto R^0: one point, the empty tuple
+    for v in ((1,), (F(-2, 3),)):
+        P, factor = project_along(cube(1), v)
+        assert (P.dim, P.adim, P.vertices, P.volume) == (0, 0, ((),), 0)
+        assert factor == abs(v[0])
+
+
 def test_project_along_zero_direction():
     with pytest.raises(ZeroVector):
         project_along(square(), (0, 0))

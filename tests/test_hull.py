@@ -389,6 +389,13 @@ def test_line_hull(xs):
         1, 1, points, (0, m - 1), facets, F(hi - lo))
 
 
+def test_point_hull():
+    # one point, also in R^0, is its own extreme point: no facets, volume 0
+    for d in range(5):
+        p = tuple(range(3, 3 + d))
+        assert hull_int([p, p], d) == hull.HullData(d, 0, (p,), (0,), (), F(0))
+
+
 def _rank_decisions(pts, d):
     """The dimensions of the initial-simplex searches and the row counts of
     the eliminations, in the hull kernel and in linalg, that building
