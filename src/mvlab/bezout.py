@@ -27,6 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from math import lcm
 from typing import NamedTuple, Optional
 
 from .errors import (
@@ -148,7 +149,7 @@ def _move_frame(K: Polytope, i: int):
     z = K.facets[i].normal
     rows, s = K.ints
     lowest = min(range(len(rows)), key=lambda j: dot(z, rows[j]))
-    w = K.vertices[lowest]
+    w = tuple(Fraction(c, s) for c in rows[lowest])
     up = vsub(interior_point(K), w)
     low = Fraction(dot(z, rows[lowest]), s)
     lines = [(f.offset - dot(f.normal, w), dot(f.normal, up)) for f in K.facets]
@@ -263,11 +264,21 @@ def projection_preserved(K: Polytope, M: Polytope, v) -> bool:
 
 
 def support_drop_set(K: Polytope, M: Polytope):
-    """Facet normals of K at which M ⊆ K has strictly smaller support."""
+    """Facet normals of K at which M ⊆ K has strictly smaller support.
+
+    A facet of K through a vertex of M is never one, since there
+    h_M(z) >= h_K(z) whether or not M ⊆ K, so M is scanned only for K's
+    other facets. Vertices are matched as integer rows at lcm(s_K, s_M)."""
+    facets = facet_structure(K)
+    (rk, sk), (rm, sm) = K.ints, M.ints
+    s = lcm(sk, sm)
+    a, b = s // sk, s // sm
+    ours = {tuple(b * c for c in row) for row in rm}
+    shared = {i for i, row in enumerate(rk) if tuple(a * c for c in row) in ours}
     return tuple(
         f.normal
-        for f in facet_structure(K)
-        if support_value(M, f.normal) < f.offset
+        for f in facets
+        if shared.isdisjoint(f.vertices) and support_value(M, f.normal) < f.offset
     )
 
 
@@ -369,9 +380,10 @@ def simplex_audit(K: Polytope) -> AuditReport:
             scale = (1 + t * fi.normalized_volume / (n * K.volume)) ** (n - 1)
         records.append(FacetAuditRecord(i, t, scale is not None, scale))
     verdict = "simplex" if all(r.proportional for r in records) else "non-simplex"
-    if (verdict == "simplex") != (len(K.vertices) == n + 1):
+    count = len(K.ints[0])
+    if (verdict == "simplex") != (count == n + 1):
         raise InternalCheckError("audit verdict disagrees with vertex count")
-    return AuditReport(tuple(records), verdict, len(K.vertices))
+    return AuditReport(tuple(records), verdict, count)
 
 
 def _canon_direction(d):
@@ -414,9 +426,10 @@ def counterexample_search(K: Polytope, budget: int) -> BezoutCertificate:
 
     def candidates():
         # (a) segments along edge directions, colex-ordered
+        rows = K.ints[0]
         dirs = sorted(
             {
-                _canon_direction(vsub(K.vertices[j], K.vertices[i]))
+                _canon_direction(vsub(rows[j], rows[i]))
                 for i, j in vertex_adjacency(K)
             },
             key=lambda d: tuple(reversed(d)),

@@ -96,7 +96,7 @@ def _load_bodies(ns):
                     "source": source,
                     "digest": digest,
                     "dim": poly.dim,
-                    "vertex_count": len(poly.vertices),
+                    "vertex_count": len(poly.ints[0]),
                 },
             )
         )

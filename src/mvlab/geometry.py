@@ -3,8 +3,10 @@
 Every quantity in this module is a Fraction or an integer; there are no
 epsilon tolerances anywhere. Polytopes are immutable value objects carrying
 their ambient dimension, affine-hull dimension, lexicographically sorted
-extreme points, and (for full-dimensional ones) the facet structure and
-exact volume computed at construction time.
+extreme points as integer rows over one scale, and (for full-dimensional
+ones) the facet structure and exact volume computed at construction time.
+The rows are a body's identity: bodies compare, hash and sort by them at
+their least scale, and Fraction vertices are built only when read.
 
 Directions are integer vectors. A primitive integer normal z stands in for
 the unit normal z/||z||; offsets and facet weights are stored in the
@@ -15,10 +17,10 @@ offset(z) = max <x, z> and normalized_volume = Vol_{n-1}(facet)/||z||.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
-from math import lcm
+from itertools import chain, combinations
+from math import gcd, lcm
 
 from .errors import (
     DegenerateInput,
@@ -55,38 +57,80 @@ class FacetData:
     normalized_volume: Fraction  # Vol_{n-1}(facet) / ||normal||
 
 
-@dataclass(frozen=True, slots=True)
 class Polytope:
     """Immutable convex polytope; construct via convex_hull and friends.
 
     adim is the affine-hull dimension: adim == dim for full-dimensional
     bodies, lower for faces and projections, -1 for the empty polytope.
     volume is the ambient-dimension volume (0 whenever adim < dim).
-    ints = (rows, s) holds the vertices as integer rows over one positive
-    scale, vertices[i] == rows[i] / s, so support values, faces, sums and
-    projections run in integers; s need not be the least such scale, and
-    it is filled from the vertices when not given. Equality and hashing
-    use (dim, vertices) alone: the facets, the volume and ints are
-    functions of the vertices.
+
+    ints = (rows, s) is the exact encoding: the vertices as lex-sorted
+    integer rows over one positive scale, so support values, faces, sums
+    and projections run in integers. s need not be the least such scale.
+    Equality, hashing and key() use (dim, rows, s) reduced by the gcd of s
+    and every entry, computed once on first use: the facets and the volume
+    are functions of the vertices.
+
+    Polytope(dim, adim, vertices, facets, volume, ints=None) fills ints
+    from the given vertices, which stay the body's vertex view. With ints
+    given, vertices may be None: the view, rows[i] / s as a tuple of
+    Fraction tuples, is then built on first read.
     """
 
-    dim: int
-    adim: int = field(compare=False)
-    vertices: tuple
-    facets: tuple = field(compare=False)
-    volume: Fraction = field(compare=False)
-    ints: tuple = field(default=None, compare=False, repr=False)
+    __slots__ = ("dim", "adim", "facets", "volume", "ints", "_vertices", "_key")
 
-    def __post_init__(self):
-        if self.ints is None:
-            rows, s = scale_to_int(self.vertices)
-            object.__setattr__(self, "ints", (tuple(rows), s))
+    def __init__(self, dim, adim, vertices, facets, volume, ints=None):
+        if ints is None:
+            rows, s = scale_to_int(vertices)
+            ints = (tuple(rows), s)
+        init = object.__setattr__
+        init(self, "dim", dim)
+        init(self, "adim", adim)
+        init(self, "facets", facets)
+        init(self, "volume", volume)
+        init(self, "ints", ints)
+        init(self, "_vertices", vertices)
+        init(self, "_key", None)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r} of a Polytope")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):  # pickle and copy through the constructor
+        args = (self.dim, self.adim, self._vertices, self.facets, self.volume, self.ints)
+        return Polytope, args
+
+    @property
+    def vertices(self):
+        if self._vertices is None:
+            rows, s = self.ints
+            view = tuple(tuple(Fraction(c, s) for c in row) for row in rows)
+            object.__setattr__(self, "_vertices", view)
+        return self._vertices
 
     def key(self):
-        return (self.dim, self.vertices)
+        if self._key is None:
+            rows, s = self.ints
+            g = gcd(s, *chain.from_iterable(rows))
+            if g > 1:
+                rows = tuple(tuple(c // g for c in row) for row in rows)
+                s //= g
+            object.__setattr__(self, "_key", (self.dim, rows, s))
+        return self._key
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.key() == other.key()
+
+    def __hash__(self):
+        return hash(self.key())
 
     def __repr__(self):
-        return f"Polytope(dim={self.dim}, adim={self.adim}, nverts={len(self.vertices)})"
+        return f"Polytope(dim={self.dim}, adim={self.adim}, nverts={len(self.ints[0])})"
 
     @property
     def is_empty(self):
@@ -97,8 +141,10 @@ class Polytope:
         return self.adim == self.dim
 
 
-def _as_point(p, dim) -> tuple[Fraction, ...]:
-    q = tuple(Fraction(c) for c in p)
+def _as_point(p, dim) -> tuple:
+    """p as a tuple of exact coordinates: int and Fraction pass through,
+    anything else goes through Fraction()."""
+    q = tuple(c if type(c) is int or type(c) is Fraction else Fraction(c) for c in p)
     if len(q) != dim:
         raise DimensionMismatch(f"point of length {len(q)}, expected {dim}")
     return q
@@ -128,12 +174,7 @@ def _from_int_points(rows, s: int, dim: int) -> Polytope:
         weight = hf.weight / s ** (dim - 1)
         facets.append(FacetData(hf.normal, Fraction(hf.offset, s), incident, weight))
     verts = tuple(hd.points[i] for i in hd.vertex_indices)
-    return _body(dim, hd.adim, verts, s, tuple(facets), hd.volume / s**dim)
-
-
-def _body(dim, adim, rows, s, facets, volume) -> Polytope:
-    verts = tuple(tuple(Fraction(c, s) for c in row) for row in rows)
-    return Polytope(dim, adim, verts, facets, volume, (rows, s))
+    return Polytope(dim, hd.adim, None, tuple(facets), hd.volume / s**dim, (verts, s))
 
 
 def convex_hull(points, dim: int, allow_lower: bool = False) -> Polytope:
@@ -268,7 +309,7 @@ def minkowski_sum(P: Polytope, Q: Polytope) -> Polytope:
         raise DimensionMismatch(f"dim {P.dim} vs {Q.dim}")
     if P.is_empty or Q.is_empty:
         return empty_polytope(P.dim)
-    if len(P.vertices) == 1:
+    if len(P.ints[0]) == 1:
         P, Q = Q, P
     (rp, sp), (rq, sq) = P.ints, Q.ints
     s = lcm(sp, sq)
@@ -276,8 +317,8 @@ def minkowski_sum(P: Polytope, Q: Polytope) -> Polytope:
     if len(rq) == 1:
         # translation keeps the lex order, so facet indices stay valid
         rows = tuple(tuple(a * x + b * y for x, y in zip(p, rq[0])) for p in rp)
-        facets = _moved_facets(P, Q.vertices[0])
-        return _body(P.dim, P.adim, rows, s, facets, P.volume)
+        facets = _moved_facets(P, tuple(Fraction(c, sq) for c in rq[0]))
+        return Polytope(P.dim, P.adim, None, facets, P.volume, (rows, s))
     pts = {
         tuple(a * x + b * y for x, y in zip(p, q))
         for p in rp
@@ -325,7 +366,8 @@ def dilate(P: Polytope, lam) -> Polytope:
     # lam > 0 keeps the lex order: numerator on the rows, denominator on s
     rows, s = P.ints
     rows = tuple(tuple(lam.numerator * c for c in row) for row in rows)
-    return _body(P.dim, P.adim, rows, s * lam.denominator, facets, P.volume * lam**P.dim)
+    ints = (rows, s * lam.denominator)
+    return Polytope(P.dim, P.adim, None, facets, P.volume * lam**P.dim, ints)
 
 
 def clip_halfspace(P: Polytope, h: Halfspace) -> Polytope:
@@ -412,7 +454,7 @@ def contains_point(P: Polytope, x) -> bool:
         return all(dot(f.normal, x) <= f.offset for f in P.facets)
     # lower-dimensional: x must lie in the affine hull and inside the hull
     # there; test by rebuilding the hull with x adjoined
-    return _from_points(list(P.vertices) + [x], P.dim).vertices == P.vertices
+    return _from_points(list(P.vertices) + [x], P.dim) == P
 
 
 def vertex_adjacency(P: Polytope):

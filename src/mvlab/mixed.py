@@ -180,9 +180,11 @@ def _mixed_volume_fast(bodies) -> Fraction:
             return _first_variation(next(b for b in bodies if b != K), K)
     for i, S in enumerate(bodies):
         if S.adim == 1:
-            a, b = S.vertices
+            (a, b), s = S.ints
             return _project_segment_slot(
-                vsub(b, a), bodies[:i] + bodies[i + 1 :], _mixed_volume_fast
+                tuple(Fraction(y - x, s) for x, y in zip(a, b)),
+                bodies[:i] + bodies[i + 1 :],
+                _mixed_volume_fast,
             )
     for K in bodies:
         if K.is_full_dimensional and sum(b == K for b in bodies) == n - 2:
@@ -243,8 +245,8 @@ def surface_area_measure(P: Polytope) -> DiscreteMeasure:
 
 def _flat_normal(P: Polytope):
     """Primitive normal of the affine hull of an (n-1)-dimensional P."""
-    base = P.vertices[0]
-    diffs = [vsub(v, base) for v in P.vertices[1:]]
+    base, *rest = P.ints[0]
+    diffs = [vsub(v, base) for v in rest]
     _, rows = rref(diffs)
     basis = [tuple(r) for r in rows if any(r)]
     return primitive_from_rational(cross_rows(basis))

@@ -48,12 +48,14 @@ from mvlab.generators import (
     cube,
     prism,
     random_hull,
+    regular_polygon,
     simplex,
     truncated_simplex,
 )
 from mvlab.geometry import (
     Halfspace,
     clip_halfspace,
+    contains_point,
     convex_hull,
     dilate,
     facet_structure,
@@ -62,7 +64,7 @@ from mvlab.geometry import (
     translate,
     vertex_enumeration,
 )
-from mvlab.linalg import dot
+from mvlab.linalg import dot, primitive_from_rational
 from mvlab.mixed import surface_area_measure, DiscreteMeasure
 
 F = Fraction
@@ -407,6 +409,52 @@ def test_support_drop_set():
     sq = cube(2)
     assert support_drop_set(sq, cap_cut(sq, (1, 1), F(1, 5))) == ()
     assert support_drop_set(sq, cap_cut(sq, (1, 0), F(1, 5))) == ((1, 0),)
+
+
+def _scanned_drop_set(K, M):
+    """support_drop_set by its definition: M scanned at every facet of K."""
+    return tuple(f.normal for f in K.facets if support_value(M, f.normal) < f.offset)
+
+
+def _drop_set_pairs():
+    """(K, M) with M a cap cut of K, K halved about its vertex centroid
+    (inside K, sharing no vertex), and the hull of n-1 of K's vertices and
+    a far point (sticking out of K)."""
+    for i in range(30):
+        n = 2 + i % 3
+        rng = random.Random(f"drop-set:{i}")
+        K = rand_full_body(rng, n, count=n + 3)
+        z = primitive_from_rational([rng.randint(-2, 2) or 1 for _ in range(n)])
+        width = support_value(K, z) + support_value(K, tuple(-c for c in z))
+        yield K, cap_cut(K, z, width * F(rng.randint(1, 9), 10))
+        g = interior_point(K)
+        yield K, translate(dilate(translate(K, tuple(-c for c in g)), F(1, 2)), g)
+        far = tuple(3 * c for c in K.vertices[-1])
+        yield K, convex_hull(list(K.vertices[: n - 1]) + [far], n, allow_lower=True)
+    for m in (64, 7):
+        K = regular_polygon(m, 10**6)
+        z = primitive_from_rational(max(K.vertices))
+        for eps in (F(1, 10), F(1, 1000), F(3, 2)):
+            yield K, cap_cut(K, z, eps)
+
+
+def test_support_drop_set_matches_scan(monkeypatch):
+    """Skipping the facets through a vertex of M changes nothing, whether
+    or not M lies in K, and M is scanned only at K's other facets."""
+    scans = []
+    monkeypatch.setattr(
+        bezout, "support_value", lambda P, z: scans.append(z) or support_value(P, z)
+    )
+    kinds = set()
+    for K, M in _drop_set_pairs():
+        scans.clear()
+        got = support_drop_set(K, M)
+        assert got == _scanned_drop_set(K, M)
+        shared = set(K.vertices) & set(M.vertices)
+        assert scans == [f.normal for f in K.facets
+                         if not shared & {K.vertices[i] for i in f.vertices}]
+        kinds.add((bool(got), bool(shared), all(contains_point(K, v) for v in M.vertices)))
+    assert kinds >= {(True, True, True), (True, False, True), (False, True, False)}
 
 
 # ---------------------------------------------------------------- measures & homothety

@@ -1,4 +1,7 @@
+import copy
+import pickle
 import random
+from decimal import Decimal
 from fractions import Fraction
 from itertools import combinations
 from math import lcm
@@ -7,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from conftest import rand_body, rand_full_body
-from mvlab.bezout import MoveSpec, move_facet
+from mvlab.bezout import MoveSpec, bezout_gap, move_facet
 from mvlab.errors import (
     BadParams,
     DegenerateInput,
@@ -324,37 +327,32 @@ def _cube3():
     return convex_hull([(a, b, c) for a in (0, 1) for b in (0, 1) for c in (0, 1)], 3)
 
 
-@pytest.mark.parametrize(
-    "build",
-    [
-        lambda: empty_polytope(2),
-        lambda: convex_hull([(F(1, 2), F(-2, 3))] * 2, 2, allow_lower=True),
-        lambda: convex_hull([(0, 0), (F(1, 2), F(1, 4)), (1, F(1, 2))], 2, True),
-        lambda: convex_hull([(F(1, 2), 0), (0, 1), (1, 1), (F(1, 3), F(1, 2))], 2),
-        lambda: minkowski_sum(_third_square(), _half_triangle()),
-        lambda: dilate(_half_triangle(), 0),
-        lambda: dilate(_half_triangle(), 3),
-        lambda: dilate(_half_triangle(), F(2, 3)),
-        lambda: translate(_half_triangle(), (F(-1, 5), 2)),
-        lambda: project_along(_cube3(), (0, 0, 1))[0],
-        lambda: project_along(_cube3(), (-2, 1, F(1, 2)))[0],
-        lambda: face_in_direction(_half_triangle(), (0, 1)),
-        lambda: face_in_direction(_third_square(), (1, 0)),
-        lambda: clip_halfspace(_half_triangle(), Halfspace((1, 1), F(5, 4))),
-        lambda: vertex_enumeration(
-            [Halfspace((1, 0), F(1, 2)), Halfspace((0, 1), F(2, 3)),
-             Halfspace((-1, -1), 1)], 2
-        ),
-        lambda: move_facet(_cube3(), MoveSpec(0, F(1, 3))),
-        lambda: Polytope(2, 0, ((F(1, 2), F(3)),), (), F(0)),
-    ],
-    ids=[
-        "empty", "point", "lower", "full", "minkowski_scales", "dilate_0",
-        "dilate_int", "dilate_p_q", "translate", "project_axis",
-        "project_oblique", "face_vertex", "face_edge", "clip", "enumeration",
-        "shift_facet", "positional",
-    ],
-)
+BUILDERS = {
+    "empty": lambda: empty_polytope(2),
+    "point": lambda: convex_hull([(F(1, 2), F(-2, 3))] * 2, 2, allow_lower=True),
+    "lower": lambda: convex_hull([(0, 0), (F(1, 2), F(1, 4)), (1, F(1, 2))], 2, True),
+    "full": lambda: convex_hull([(F(1, 2), 0), (0, 1), (1, 1), (F(1, 3), F(1, 2))], 2),
+    "minkowski_scales": lambda: minkowski_sum(_third_square(), _half_triangle()),
+    "dilate_0": lambda: dilate(_half_triangle(), 0),
+    "dilate_int": lambda: dilate(_half_triangle(), 3),
+    "dilate_p_q": lambda: dilate(_half_triangle(), F(2, 3)),
+    "translate": lambda: translate(_half_triangle(), (F(-1, 5), 2)),
+    "project_axis": lambda: project_along(_cube3(), (0, 0, 1))[0],
+    "project_oblique": lambda: project_along(_cube3(), (-2, 1, F(1, 2)))[0],
+    "face_vertex": lambda: face_in_direction(_half_triangle(), (0, 1)),
+    "face_edge": lambda: face_in_direction(_third_square(), (1, 0)),
+    "clip": lambda: clip_halfspace(_half_triangle(), Halfspace((1, 1), F(5, 4))),
+    "enumeration": lambda: vertex_enumeration(
+        [Halfspace((1, 0), F(1, 2)), Halfspace((0, 1), F(2, 3)),
+         Halfspace((-1, -1), 1)], 2
+    ),
+    "shift_facet": lambda: move_facet(_cube3(), MoveSpec(0, F(1, 3))),
+    "positional": lambda: Polytope(2, 0, ((F(1, 2), F(3)),), (), F(0)),
+}
+builders = pytest.mark.parametrize("build", BUILDERS.values(), ids=BUILDERS.keys())
+
+
+@builders
 def test_integer_rows(build):
     assert_rows(build())
 
@@ -399,14 +397,84 @@ def test_minkowski_point_is_translation(n):
                 assert_rows(got)
 
 
-def test_integer_rows_ignored_by_equality():
-    P = _half_triangle()
+@builders
+def test_integer_rows_ignored_by_equality(build):
+    """Equality, hashing and key() see the point set, not the scale: a
+    body is the same as a copy of its rows at 7 times its scale, whose
+    vertex view is built from those rows, and as the body built from its
+    own Fraction vertices, whose rows are at the least scale."""
+    P = build()
     rows, s = P.ints
-    Q = Polytope(P.dim, P.adim, P.vertices, P.facets, P.volume,
-                 (tuple(tuple(7 * c for c in r) for r in rows), 7 * s))
+    scaled = (tuple(tuple(7 * c for c in r) for r in rows), 7 * s)
+    Q = Polytope(P.dim, P.adim, None, P.facets, P.volume, scaled)
+    R = Polytope(P.dim, P.adim, P.vertices, P.facets, P.volume)
     assert Q.ints != P.ints
-    assert Q == P and hash(Q) == hash(P)
-    assert_rows(Q)
+    for X in (Q, R):
+        assert X == P and P == X and not X != P
+        assert hash(X) == hash(P) and X.key() == P.key()
+        assert_rows(X)
+    assert Q.vertices == P.vertices
+    for X in (pickle.loads(pickle.dumps(P)), copy.deepcopy(Q)):
+        assert (X, X.adim, X.facets, X.volume) == (P, P.adim, P.facets, P.volume)
+    assert P != Polytope(P.dim + 1, P.adim, None, P.facets, P.volume, P.ints)
+    if rows:
+        moved = (rows[:-1] + (tuple(c + 1 for c in rows[-1]),), s)
+        assert P != Polytope(P.dim, P.adim, None, P.facets, P.volume, moved)
+
+
+def test_vertex_view_built_only_when_read():
+    """The gap of two segments against a 4-simplex reads K's integer rows
+    alone; K's Fraction vertices are built on the first read, as rows / s,
+    and a body built from given vertices keeps those as its view."""
+    n = 4
+    L = convex_hull([(0, 0, 0, 0), (1, F(1, 2), 0, 0)], n, allow_lower=True)
+    M = convex_hull([(0, F(1, 3), 0, 0), (0, 0, 2, -1)], n, allow_lower=True)
+    K = convex_hull([(0, 0, 0, 0)] + [tuple(F(i == j, j + 2) for j in range(n))
+                                      for i in range(n)], n)
+    assert bezout_gap(L, M, K).gap >= 0
+    assert K._vertices is None
+    rows, s = K.ints
+    view = K.vertices
+    assert view == tuple(tuple(F(c, s) for c in row) for row in rows)
+    assert all(type(c) is F for v in view for c in v)
+    assert K.vertices is view
+    given = ((F(1, 2), F(3)),)
+    assert Polytope(2, 0, given, (), F(0)).vertices is given
+
+
+# bool, float, Decimal and numeric strings go through Fraction(); int and
+# Fraction coordinates are kept as given
+MIXED_POINTS = [
+    (False, "0"),
+    (1.5, Decimal("0")),
+    ("3/2", True),
+    (F(1, 4), 0.75),
+    (Decimal("0.5"), "1.25"),
+]
+
+
+def test_coordinate_types():
+    exact = [tuple(F(c) for c in p) for p in MIXED_POINTS]
+    P, Q = convex_hull(MIXED_POINTS, 2), convex_hull(exact, 2)
+    assert (P.vertices, P.ints, P.facets, P.volume) == (Q.vertices, Q.ints, Q.facets, Q.volume)
+    assert P.vertices == ((0, 0), (F(1, 4), F(3, 4)), (F(1, 2), F(5, 4)),
+                          (F(3, 2), 0), (F(3, 2), 1))
+    assert all(type(c) is F for v in P.vertices for c in v)
+    S = convex_hull([(0, 0), (2, 1)], 2, allow_lower=True)
+    for x in MIXED_POINTS + [(1, F(1, 2)), (True, 0.5), ("1", Decimal("0.5"))]:
+        y = tuple(F(c) for c in x)
+        assert contains_point(P, x) == contains_point(P, y)
+        assert contains_point(S, x) == contains_point(S, y)
+    assert contains_point(S, (True, 0.5)) and not contains_point(S, ("1", "1"))
+    for bad in ("x", "1/0x", float("nan")):
+        with pytest.raises(ValueError):
+            convex_hull([(0, 0), (1, 0), (0, bad)], 2)
+        with pytest.raises(ValueError):
+            contains_point(P, (bad, 0))
+    with pytest.raises(OverflowError):
+        convex_hull([(0, 0), (1, 0), (0, float("inf"))], 2)
+    with pytest.raises(TypeError):
+        convex_hull([(0, 0), (1, 0), (0, None)], 2)
 
 
 # ---------------------------------------------------------------- properties
