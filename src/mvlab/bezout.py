@@ -243,7 +243,10 @@ def move_facet(K: Polytope, spec: MoveSpec) -> Polytope:
 
 
 def cap_cut(K: Polytope, z, eps) -> Polytope:
-    """K intersected with {<x,z> <= h(z) - eps}; must stay full-dimensional."""
+    """K intersected with {<x,z> <= h(z) - eps}, for a full-dimensional K;
+    must stay full-dimensional."""
+    if not K.is_full_dimensional:
+        raise DegenerateInput("cap cut target must be full-dimensional")
     eps = Fraction(eps)
     if eps <= 0:
         raise BadParams("cap depth must be positive")

@@ -317,7 +317,12 @@ def minkowski_sum(P: Polytope, Q: Polytope) -> Polytope:
     if len(rq) == 1:
         # translation keeps the lex order, so facet indices stay valid
         rows = tuple(tuple(a * x + b * y for x, y in zip(p, rq[0])) for p in rp)
-        facets = _moved_facets(P, tuple(Fraction(c, sq) for c in rq[0]))
+        q = tuple(Fraction(c, sq) for c in rq[0])
+        facets = tuple(
+            FacetData(f.normal, f.offset + dot(f.normal, q), f.vertices,
+                      f.normalized_volume)
+            for f in P.facets
+        )
         return Polytope(P.dim, P.adim, None, facets, P.volume, (rows, s))
     pts = {
         tuple(a * x + b * y for x, y in zip(p, q))
@@ -327,21 +332,10 @@ def minkowski_sum(P: Polytope, Q: Polytope) -> Polytope:
     return _from_int_points(pts, s, P.dim)
 
 
-def _moved_facets(P: Polytope, x):
-    return tuple(
-        FacetData(f.normal, f.offset + dot(f.normal, x), f.vertices, f.normalized_volume)
-        for f in P.facets
-    )
-
-
 def translate(P: Polytope, x) -> Polytope:
-    if P.is_empty:
-        return P
-    x = _as_point(x, P.dim)
-    verts = tuple(sorted(tuple(a + b for a, b in zip(v, x)) for v in P.vertices))
-    # translation permutes nothing: lex order of translated vertices is
-    # preserved, so facet indices stay valid
-    return Polytope(P.dim, P.adim, verts, _moved_facets(P, x), P.volume)
+    """P moved by x: its sum with the one-point body at x."""
+    point = Polytope(P.dim, 0, (_as_point(x, P.dim),), (), Fraction(0))
+    return minkowski_sum(P, point)
 
 
 def dilate(P: Polytope, lam) -> Polytope:
@@ -352,8 +346,7 @@ def dilate(P: Polytope, lam) -> Polytope:
     if P.is_empty:
         return P
     if lam == 0:
-        origin = tuple(Fraction(0) for _ in range(P.dim))
-        return Polytope(P.dim, 0, (origin,), (), Fraction(0))
+        return Polytope(P.dim, 0, None, (), Fraction(0), (((0,) * P.dim,), 1))
     facets = tuple(
         FacetData(
             f.normal,
@@ -378,7 +371,9 @@ def clip_halfspace(P: Polytope, h: Halfspace) -> Polytope:
     strictly above. For full-dimensional P only P's edges
     (vertex_adjacency) are crossed. A lower-dimensional P carries no facet
     incidence, so every such chord is crossed: each lies in P, so its
-    crossing is in the clip, and the hull drops the interior ones.
+    crossing is in the clip, and the hull drops the interior ones. The
+    sides are integer signs on P's rows, and only the kept rows and the
+    crossings become Fraction points.
     """
     z, b = h.normal, h.bound
     if len(z) != P.dim:
@@ -387,22 +382,25 @@ def clip_halfspace(P: Polytope, h: Halfspace) -> Polytope:
         raise ZeroVector("halfspace with zero normal")
     if P.is_empty:
         return P
-    vals = [dot(z, v) for v in P.vertices]
-    if all(val <= b for val in vals):
+    rows, s = P.ints
+    bs = Fraction(b) * s
+    # w[i] > 0 iff row i / s is beyond the hyperplane: <row_i, z> > b·s
+    w = [bs.denominator * dot(z, row) - bs.numerator for row in rows]
+    if all(x <= 0 for x in w):
         return P
-    pts = {v for v, val in zip(P.vertices, vals) if val <= b}
+    pts = {tuple(Fraction(c, s) for c in row) for row, x in zip(rows, w) if x <= 0}
     if not pts:
         return empty_polytope(P.dim)
-    side = [(val > b) - (val < b) for val in vals]
     if P.is_full_dimensional:
         pairs = vertex_adjacency(P)
     else:
-        pairs = combinations(range(len(vals)), 2)
+        pairs = combinations(range(len(rows)), 2)
     for i, j in pairs:
-        if side[i] * side[j] < 0:
-            v, w = P.vertices[i], P.vertices[j]
-            t = (b - vals[i]) / (vals[j] - vals[i])
-            pts.add(tuple(a + t * (c - a) for a, c in zip(v, w)))
+        if w[i] * w[j] < 0:
+            # the crossing is (w[j]·row_i - w[i]·row_j) / ((w[j] - w[i])·s)
+            den = (w[j] - w[i]) * s
+            pts.add(tuple(Fraction(w[j] * a - w[i] * c, den)
+                          for a, c in zip(rows[i], rows[j])))
     return _from_points(pts, P.dim)
 
 

@@ -13,14 +13,14 @@ and 4D it goes to Quickhull (Barber, Dobkin & Huhdanpaa, *The Quickhull
 algorithm for convex hulls*, ACM TOMS 22(4), 1996) on a triangulation of the
 hull's boundary into (d-1)-simplices, each with its d neighbours and an
 outside set. The initial simplex is the search's d+1 vertices, and in 1D
-it is the whole hull. Every other point joins the outside set
-of the first simplex it lies strictly beyond, or is dropped: a point in the
-hull so far is not extreme. While an outside set is nonempty, its point p
-with the largest <normal, p> (lowest index on ties) replaces the simplices
-it lies strictly beyond, the visible ones, by cones from p over the horizon
-ridges. So the boundary stays a placing triangulation (De Loera, Rambau &
-Santos, *Triangulations*, 2010, section 4.3.1), and every predicate is one
-exact integer sign:
+it is the whole hull. Every other point joins the outside set of the first
+simplex it lies strictly beyond, or is dropped: a point in the hull so far
+is not extreme. While a simplex G has a nonempty outside set, the point p
+that maximises <z_G, p> (lowest index on ties) over all points still in an
+outside set replaces the simplices it lies strictly beyond, the visible
+ones, by cones from p over the horizon ridges. So the boundary stays a
+placing triangulation (De Loera, Rambau & Santos, *Triangulations*, 2010,
+section 4.3.1), and every predicate is one exact integer sign:
 
 (a) A horizon ridge r lies in aff(G) for a visible G, and p is not in
     aff(G), so conv(r + p) is never flat.
@@ -32,17 +32,20 @@ exact integer sign:
     holding a new simplex: q = p + l(x - p) with x in the old hull and
     l > 1, and <z_G, y> - c_G, positive at p and at most 0 at x, is negative
     at q, so q is not beyond G.
+(d) Every inserted point is a vertex. A point in no outside set lies in
+    the hull so far, where <z_G, y> <= c_G, and G's outside set holds a y
+    with <z_G, y> > c_G. So p maximises <z_G, .> over all points, and as
+    the lowest index among the maximisers it is the lex-first point of a
+    face, a vertex. The initial simplex is made of vertices too, so every
+    point of every boundary simplex is a vertex.
 
 Each simplex lies in a true facet, so simplices merge into facets by their
 hyperplane. With n = cross_rows(edge vectors), det(rows + [y]) == <n, y>:
 the pyramid over a simplex from points[0] is (offset - <n, points[0]>)/d!,
 and the simplex adds gcd(n)/(d-1)! to its facet's weight Vol_{d-1}/||z||,
-z = n/gcd(n). A facet lists the extreme points of its simplices; a point
-is a vertex exactly when the normals of its facets span R^d. That test is
-one determinant in integers: take the first d-1 normals whose cross_rows
-normal N is nonzero; they span a hyperplane, and the normals span R^d iff
-some normal z has <N, z> = det(those d-1 normals + [z]) != 0. A simple
-vertex costs one closed-form cross product and d dot products.
+z = n/gcd(n). The simplices in a facet cover it, so by (d) a facet's
+vertices are the points of its simplices, and the hull's vertices are the
+union of those.
 """
 
 from __future__ import annotations
@@ -132,15 +135,6 @@ def _hull_2d(pts) -> HullData:
     )
 
 
-def _spans(zs, d) -> bool:
-    """Whether the integer vectors zs span R^d, d >= 2 (module docstring)."""
-    for sub in combinations(zs, d - 1):
-        n = cross_rows(sub)
-        if any(n):
-            return any(dot(n, z) for z in zs)
-    return False
-
-
 @dataclass(slots=True)
 class _F:
     verts: tuple[int, ...]
@@ -197,24 +191,30 @@ def _build(pts, d, init) -> HullData:
                 if dot(facets[k].normal, pts[ip]) > facets[k].offset:
                     facets[k].out.append(ip)
                     break
+            else:
+                outside.discard(ip)
 
     # simplex k omits init[k]; across its ridge without init[m] lies simplex m
     facets = {k: make_facet(tuple(init[:k] + init[k + 1 :])) for k in range(d + 1)}
     for f in facets.values():
         f.nbrs = [init.index(v) for v in f.verts]
     ids = count(d + 1)
-    assign([i for i in range(len(pts)) if i not in init], list(facets))
+    outside = set(range(len(pts))) - set(init)
+    assign(sorted(outside), list(facets))
 
-    # insert the furthest point of an outside set; the visible simplices form
-    # a ball (fact b): walk across ridges from this one; the horizon is the
-    # ridges between a visible and an invisible simplex
+    # insert, of all points still outside, the one furthest along the
+    # normal of a simplex with a nonempty outside set: a vertex (fact d);
+    # the visible simplices form a ball (fact b): walk across ridges from
+    # this one; the horizon is the ridges between a visible and an
+    # invisible simplex
     pending = [k for k, f in facets.items() if f.out]
     while pending:
         k = pending.pop()
         if k not in facets:
             continue
         z = facets[k].normal
-        ip = max(facets[k].out, key=lambda i: (dot(z, pts[i]), -i))
+        ip = max(outside, key=lambda i: (dot(z, pts[i]), -i))
+        outside.discard(ip)
         p = pts[ip]
         seen, stack, horizon = {k: True}, [k], []
         while stack:
@@ -250,7 +250,8 @@ def _build(pts, d, init) -> HullData:
         pending += [c for c in new if facets[c].out]
 
     # merge boundary simplices into true facets by supporting hyperplane;
-    # each simplex adds its pyramid from pts[0] and its share of the weight
+    # each simplex adds its pyramid from pts[0] and its share of the weight;
+    # its points are vertices (fact d), so they are its facet's vertices
     apex = pts[0]
     vol_scaled = 0
     groups: dict[tuple[tuple[int, ...], int], list] = {}
@@ -260,20 +261,13 @@ def _build(pts, d, init) -> HullData:
         key = (tuple(x // g for x in f.normal), f.offset // g)
         groups.setdefault(key, []).append((f.verts, g))
 
-    # a group's points lie on its facet and include its extreme points; a
-    # point is a vertex exactly when the normals of its groups span R^d
-    on_facet = {key: {i for verts, _ in sl for i in verts} for key, sl in groups.items()}
-    normals_at: dict[int, list] = {}
-    for (z, _), idxs in on_facet.items():
-        for i in idxs:
-            normals_at.setdefault(i, []).append(z)
-    vertex = {i for i, zs in normals_at.items() if len(zs) >= d and _spans(zs, d)}
-
     out = []
     for (z, c), simplex_list in groups.items():
         weight = Fraction(sum(g for _, g in simplex_list), factorial(d - 1))
-        out.append(HullFacet(z, c, weight, tuple(sorted(on_facet[z, c] & vertex))))
+        on_facet = sorted({i for verts, _ in simplex_list for i in verts})
+        out.append(HullFacet(z, c, weight, tuple(on_facet)))
     out.sort(key=lambda f: f.normal)
 
     volume = Fraction(vol_scaled, factorial(d))
-    return HullData(d, d, tuple(pts), tuple(sorted(vertex)), tuple(out), volume)
+    vertex = sorted({i for f in facets.values() for i in f.verts})
+    return HullData(d, d, tuple(pts), tuple(vertex), tuple(out), volume)

@@ -386,6 +386,12 @@ def test_cap_cut_errors():
         cap_cut(cube(2), (1, 0), 0)
     with pytest.raises(EmptyOrFlat):
         cap_cut(cube(2), (1, 0), 2)
+    # a flat body never had an interior to lose
+    segment = convex_hull([(0, 0), (1, 1)], 2, allow_lower=True)
+    triangle = convex_hull([(0, 0, 0), (1, 0, 0), (0, 1, 0)], 3, allow_lower=True)
+    for K, z in ((segment, (1, 1)), (triangle, (1, 1, 0))):
+        with pytest.raises(DegenerateInput, match="must be full-dimensional"):
+            cap_cut(K, z, F(1, 10))
 
 
 def test_projection_preserved():

@@ -374,6 +374,12 @@ def test_operation_error_report(tmp_path, capsys):
     origin_max = tmp_path / "origin_max.json"
     tri = convex_hull([(0, 0), (-1, 0), (0, -1)], 2)
     origin_max.write_text(json.dumps(serialize_polytope(tri)))
+    flat = {}
+    for name, pts, n in (("segment", [(0, 0), (1, 1)], 2),
+                         ("triangle", [(0, 0, 0), (1, 0, 0), (0, 1, 0)], 3)):
+        flat[name] = tmp_path / f"{name}.json"
+        body = convex_hull(pts, n, allow_lower=True)
+        flat[name].write_text(json.dumps(serialize_polytope(body)))
     two = ["--gen", "cube:2", "--gen", "cube:2"]
     for argv, error in (
         (["audit"] + two, "BadArity"),
@@ -387,6 +393,9 @@ def test_operation_error_report(tmp_path, capsys):
         (["af_fuzz"] + two, "BadArity"),
         (["af_fuzz", "--samples", "0"], "BadParams"),
         (["strict", "--input", str(origin_max)], "BadParams"),
+        # a flat body has no interior for the cap cut to keep
+        (["strict", "--input", str(flat["segment"])], "DegenerateInput"),
+        (["strict", "--input", str(flat["triangle"])], "DegenerateInput"),
     ):
         code, rep = run_json(capsys, argv)
         assert code == 2, argv

@@ -477,6 +477,19 @@ def test_coordinate_types():
         convex_hull([(0, 0), (1, 0), (0, None)], 2)
 
 
+
+def test_clip_leaves_vertex_view_unbuilt():
+    """clip_halfspace crosses edges on the integer rows: clipping a fresh
+    hull, full or flat, builds none of its Fraction vertices, whether the
+    cut keeps it, empties it or crosses its edges. test_clip_matches_all_chords
+    checks the clipped bodies."""
+    flat = [(0, 0, 0), (1, 0, 0), (0, F(1, 2), 0)]
+    for build in (_cube3, lambda: convex_hull(flat, 3, allow_lower=True)):
+        for b in (3, -1, F(5, 2), F(1, 3)):
+            K = build()
+            clip_halfspace(K, Halfspace((1, 1, 1), b))
+            assert K._vertices is None
+
 # ---------------------------------------------------------------- properties
 
 coord = st.fractions(min_value=-3, max_value=3, max_denominator=2)

@@ -13,8 +13,10 @@ from hypothesis import assume, example, given, settings, strategies as st
 from mvlab.generators import cross_polytope, cube, generate
 from mvlab.geometry import convex_hull, dilate, minkowski_sum, translate
 from mvlab import hull, linalg
-from mvlab.hull import _spans, hull_int
-from mvlab.linalg import cross_rows, dot, primitive_from_rational, rank, vsub
+from mvlab.hull import hull_int
+from mvlab.linalg import (
+    cross_rows, dot, primitive_from_rational, rank, scale_to_int, vsub,
+)
 
 
 def _digest(P):
@@ -174,41 +176,15 @@ def _brute_force(pts, d):
     return planes, vertices
 
 
-@st.composite
-def normal_sets(draw):
-    """Integer vectors in R^d, d = 2..4, drawn from the span of k <= d
-    generators: combinations (zero included), repeats and negations, so
-    dependent subsets, +-z pairs and rank-(d-1) sets of more than d vectors
-    are common."""
-    d = draw(st.integers(min_value=2, max_value=4))
-    k = draw(st.integers(min_value=1, max_value=d))
-    gens = draw(st.lists(st.tuples(*[coord] * d), min_size=k, max_size=k))
-    zs = []
-    for _ in range(draw(st.integers(min_value=1, max_value=3 * d))):
-        kind = draw(st.sampled_from(["combine", "repeat", "negate"]))
-        if kind == "combine" or not zs:
-            cs = draw(st.lists(st.integers(-2, 2), min_size=k, max_size=k))
-            zs.append(tuple(sum(c * g[j] for c, g in zip(cs, gens)) for j in range(d)))
-        else:
-            z = draw(st.sampled_from(zs))
-            zs.append(z if kind == "repeat" else tuple(-x for x in z))
-    return d, zs
-
-
-# the facet normals at an edge midpoint of 2*cross(4), with and without two
-# more normals of rank 3, and +-z pairs in R^3
-@example((4, [(1, 1, a, b) for a, b in product((1, -1), repeat=2)]))
-@example((4, [(1, 1, a, b) for a, b in product((1, -1, 2), repeat=2)][:6]))
-@example((3, [(1, 0, 0), (-1, 0, 0), (0, 2, 1), (0, -2, -1)]))
-@example((3, [(1, 0, 0), (-1, 0, 0), (0, 2, 1), (0, 0, 1)]))
-@given(normal_sets())
-def test_spans_matches_rank(case):
-    # the hull's determinant vertex test against the elimination rank
-    d, zs = case
-    assert _spans(zs, d) == (rank(zs) == d)
+# 2*cross(4) and its edge midpoints: each midpoint lies on an edge and is no
+# vertex
+_CROSS4_MIDPOINTS = sorted(
+    {p for p in product(range(-2, 3), repeat=4) if sum(map(abs, p)) == 2}
+)
 
 
 @settings(max_examples=80)
+@example((4, _CROSS4_MIDPOINTS))
 @given(full_clouds())
 def test_hull_matches_brute_force(cloud):
     d, pts = cloud
@@ -261,14 +237,17 @@ def test_interior_heavy_matches_brute_force(cloud):
 
 
 @settings(max_examples=60)
-@given(interior_heavy_clouds())
-def test_interior_heavy_inserts_no_interior_point(cloud):
-    # the initial simplex is made of vertices, and each inserted point is
-    # the furthest of an outside set. On these clouds, whose only extreme
-    # points are the base's vertices, no boundary simplex the kernel makes
-    # has a vertex strictly inside the final hull. On general clouds one
-    # can: a point beyond several simplices joins only the first one's set.
+# here the furthest point of a simplex's own outside set, (-1, -1, -1), is
+# no vertex
+@example((3, [(-2, -2, -2), (-2, 0, 0), (-1, -1, -1), (-1, 1, 0), (0, -2, -1),
+              (0, 1, 1)]))
+@given(st.one_of(full_clouds(), interior_heavy_clouds()))
+def test_every_inserted_point_is_a_vertex(cloud):
+    # the initial simplex is made of vertices, and each inserted point
+    # maximises a simplex's normal over every point still outside, so every
+    # point of every boundary simplex the kernel makes is a vertex
     d, pts = cloud
+    rows, _ = scale_to_int(pts)
     made = []
     make = hull._F
 
@@ -277,11 +256,9 @@ def test_interior_heavy_inserts_no_interior_point(cloud):
         return make(verts, *rest)
 
     with patch.object(hull, "_F", spy):
-        hd = hull_int(pts, d)
+        hd = hull_int(rows, d)
     assert made
-    for i in {i for verts in made for i in verts}:
-        p = hd.points[i]
-        assert any(dot(f.normal, p) == f.offset for f in hd.facets)
+    assert {i for verts in made for i in verts} <= set(hd.vertex_indices)
 
 
 @settings(max_examples=80)
