@@ -144,6 +144,12 @@ class _F:
     out: list  # outside set: unplaced points strictly beyond this simplex
 
 
+# _AXES[d]: the unit rows of R^d, for every d that cross_rows serves
+_AXES = tuple(
+    tuple(tuple(int(j == k) for j in range(d)) for k in range(d)) for d in range(5)
+)
+
+
 def _initial_simplex(pts, d):
     """(init, dirs): r+1 affinely independent vertices of conv(pts), as
     indices, and the differences of the last r from the first, r the affine
@@ -154,9 +160,8 @@ def _initial_simplex(pts, d):
     such u is constant on pts, so that pts lie in the flat (these u span the
     complement of dirs), or when every point is used."""
     init, dirs = [0], []
-    axes = [tuple(int(j == k) for j in range(d)) for k in range(d)]
     while len(dirs) < d and len(init) < len(pts):
-        for e in combinations(axes, d - 1 - len(dirs)):
+        for e in combinations(_AXES[d], d - 1 - len(dirs)):
             u = cross_rows(dirs + list(e))
             h0 = dot(u, pts[0])
             h, j = max((abs(dot(u, p) - h0), -i) for i, p in enumerate(pts))

@@ -26,7 +26,9 @@ takes exact shortcuts (equal slots, a point slot, the first-variation sum
 over a body's own facets, projection along a segment slot, and Minkowski's
 polynomial in s for V(L, M, K[n-2]), whose values at s = 1, 2, ... are
 first-variation sums over M + sK) and falls back to polarization; see
-_mixed_volume_fast.
+_mixed_volume_fast. Each first-variation sum runs in integers, on L's
+vertex rows and K's facet weights over their common denominator, and
+makes one Fraction.
 
 Weight convention: a stored atom weight w(z) at a primitive integer normal
 z encodes true-measure(z/||z||) = w(z)·||z||, which keeps every stored value
@@ -39,7 +41,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
-from math import factorial
+from math import factorial, lcm
 
 from .errors import (
     BadArity,
@@ -58,7 +60,7 @@ from .geometry import (
     project_along,
     support_value,
 )
-from .linalg import cross_rows, primitive_from_rational, rref, solve, vsub
+from .linalg import cross_rows, dot, primitive_from_rational, rref, solve, vsub
 
 
 @dataclass(frozen=True)
@@ -197,12 +199,18 @@ def _mixed_volume_fast(bodies) -> Fraction:
 
 def _first_variation(L: Polytope, K: Polytope) -> Fraction:
     """V(L,K[n-1]) = (1/n)·sum of h_L(z)·w(z) over the facets of a
-    full-dimensional K."""
-    total = sum(
-        (support_value(L, f.normal) * f.normalized_volume for f in K.facets),
-        Fraction(0),
-    )
-    return total / K.dim
+    full-dimensional K, summed in integers: with (rows, s) = L.ints,
+    h_L(z) = max<z, row>/s, and with D the lcm of the weights'
+    denominators, D·w(z) is an integer. So the value is one Fraction,
+    sum of max<z, row>·D·w(z), over s·D·n."""
+    rows, s = L.ints
+    facets = K.facets
+    D = lcm(*(f.normalized_volume.denominator for f in facets))
+    total = 0
+    for f in facets:
+        z, w = f.normal, f.normalized_volume
+        total += max(dot(z, row) for row in rows) * (w.numerator * (D // w.denominator))
+    return Fraction(total, s * D * K.dim)
 
 
 def _minkowski_coefficient(L: Polytope, M: Polytope, K: Polytope) -> Fraction:

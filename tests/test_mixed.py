@@ -13,6 +13,7 @@ from conftest import (
     rand_segment,
 )
 from mvlab import mixed
+from mvlab.bezout import MoveSpec, move_facet, safe_move_range
 from mvlab.errors import (
     BadArity,
     DegenerateInput,
@@ -20,15 +21,18 @@ from mvlab.errors import (
     DimensionMismatch,
     ZeroVector,
 )
-from mvlab.generators import cross_polytope, simplex
+from mvlab.generators import cross_polytope, random_points, simplex
 from mvlab.geometry import (
+    Halfspace,
     Polytope,
     _from_points,
+    clip_halfspace,
     convex_hull,
     dilate,
     face_in_direction,
     minkowski_sum,
     project_along,
+    support_value,
     translate,
 )
 from mvlab.mixed import (
@@ -345,6 +349,41 @@ def test_fast_evaluator_matches_polarization_on_af_tuples():
             assert _mixed_volume_fast(bodies) == mixed_volume(bodies)
     for bodies in _n4_pair_tuples(6):
         assert _mixed_volume_fast(bodies) == mixed_volume(bodies)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_first_variation_matches_fraction_sum(n):
+    # the integer sum against the Fraction sum over K's facets; the K
+    # constructions store rows at scales above the least and weights with
+    # unequal denominators, and the L's have rows at scales above 1
+    rng = random.Random(f"first-variation:{n}")
+    base = rand_full_body(rng, n)
+    z = tuple(rng.choice((-2, -1, 1, 3)) for _ in range(n))
+    mid = (support_value(base, z) - support_value(base, tuple(-c for c in z))) / 2
+    Ks = [
+        base,
+        dilate(base, F(5, 3)),
+        translate(base, random_points(rng, n, 1, 3, 4)[0]),
+        clip_halfspace(base, Halfspace(z, mid)),
+        move_facet(base, MoveSpec(0, safe_move_range(base, 0)[1])),
+    ]
+    if n < 4:  # a hull is built in R^4 at most
+        up = rand_full_body(rng, n + 1)
+        Ks.append(project_along(up, (2,) + random_points(rng, n, 1, 3, 1)[0])[0])
+    triangle = rand_body(rng, n, count=3)
+    while triangle.adim != 2:
+        triangle = rand_body(rng, n, count=3)
+    Ls = [
+        convex_hull(random_points(rng, n, 1, 3, 3), n, allow_lower=True),
+        rand_segment(rng, n, max_den=3),
+        triangle,
+        rand_full_body(rng, n),
+    ]
+    for K in Ks:
+        assert K.is_full_dimensional
+        for L in Ls:
+            ref = sum((support_value(L, f.normal) * f.normalized_volume for f in K.facets), F(0))
+            assert mixed._first_variation(L, K) == ref / n
 
 
 def test_fast_evaluator_branches(monkeypatch):
