@@ -4,8 +4,8 @@ The central quantity is the gap
     gap = V(L,K[n-1])·V(M,K[n-1]) - V(L,M,K[n-2])·V_n(K)
 (and its r-body generalization), which is nonnegative for every pair (L,M)
 exactly when K is a simplex. This module provides the gap evaluators, the
-facet-moving deformation K_{t,i} and its certified safe range (one uncached
-polar-dual hull, _moved_vertices, decides and builds each move), cap cuts,
+facet-moving deformation K_{t,i} and its certified safe range (each one
+uncached polar-dual hull, by _moved_vertices), cap cuts,
 measure-proportionality and homothety tests, a measure-power identity
 checker, the per-facet simplex audit (it reads homothety of K_{t,i} and K
 off K's support numbers, with no moved body built), and a deterministic
@@ -141,65 +141,42 @@ def bezout_gap_general(bodies, delta: Polytope, r: int) -> Fraction:
     return rhs - lhs
 
 
-def _move_frame(K: Polytope, i: int):
-    """What every move of K's i-th facet shares (see _moved_vertices): K's
-    lowest vertex w along z_i, g - w for K's vertex centroid g, the height
-    low of w and the rise <z_i, g> - low, and b_j - <z_j, w> and
-    <z_j, g - w> for every facet j."""
-    z = K.facets[i].normal
-    rows, s = K.ints
-    lowest = min(range(len(rows)), key=lambda j: dot(z, rows[j]))
-    w = tuple(Fraction(c, s) for c in rows[lowest])
-    up = vsub(interior_point(K), w)
-    low = Fraction(dot(z, rows[lowest]), s)
-    lines = [(f.offset - dot(f.normal, w), dot(f.normal, up)) for f in K.facets]
-    return w, up, low, dot(z, up), lines
-
-
-def _moved_vertices(K: Polytope, i: int, t, frame):
-    """The vertices of K_t, full-dimensional K with the bound of its i-th
-    facet shifted by t, or None when K_t is flat or empty or has lost a
-    facet. frame is _move_frame(K, i).
+def _moved_vertices(K: Polytope, i: int, t):
+    """(vertices of K_t, kept) for full-dimensional K with the bound of its
+    i-th facet shifted by t, kept telling whether K_t keeps every facet of
+    K; None when K_t is flat or empty.
 
     Polar duality about a point c interior to K_t (de Berg et al.,
     *Computational Geometry*, 3rd ed., section 11.4): the constraint
     <z_j, x> <= b_j becomes the point z_j / (b_j - <z_j, c>). Constraint j
     is a facet of K_t exactly when its point is a vertex of the hull of
     all of them, and a facet {<a, y> = o} of that hull, scaled to integers
-    by s, gives the vertex c + a·s/o of K_t. c = w + lam·(g - w) lies on
-    the segment from K's lowest vertex w along z_i toward K's vertex
+    by s, gives the vertex c + a·s/o of K_t. c = p + lam·(g - p) lies on
+    the segment from K's lowest vertex p along z_i toward K's vertex
     centroid g, at most halfway up to the moved bound, so it is interior to
-    both K and K_t, and b_j - <z_j, c> = (b_j - <z_j, w>) - lam·<z_j, g - w>.
+    both K and K_t.
     """
-    w, up, low, rise, lines = frame
+    z = K.facets[i].normal
+    rows, s = K.ints
+    p = tuple(Fraction(a, s) for a in min(rows, key=lambda row: dot(z, row)))
+    low = dot(z, p)
     room = K.facets[i].offset + t - low
     if room <= 0:
         return None
-    lam = min(Fraction(1), room / (2 * rise))
+    g = interior_point(K)
+    lam = min(Fraction(1), room / (2 * (dot(z, g) - low)))
+    c = tuple(a + lam * (b - a) for a, b in zip(p, g))
     dual = []
-    for j, (f, (b, slope)) in enumerate(zip(K.facets, lines)):
-        o = b - lam * slope + (t if j == i else 0)
+    for j, f in enumerate(K.facets):
+        o = f.offset - dot(f.normal, c) + (t if j == i else 0)
         dual.append(tuple(x / o for x in f.normal))
     scaled, s = scale_to_int(dual)
     hd = hull_int(scaled, K.dim)
-    if len(hd.vertex_indices) < len(dual):
-        return None
-    c = tuple(a + lam * b for a, b in zip(w, up))
-    return [
+    verts = [
         tuple(ci + Fraction(a * s, hf.offset) for ci, a in zip(c, hf.normal))
         for hf in hd.facets
     ]
-
-
-def _ladder(K: Polytope, i: int, start) -> Fraction:
-    """The first of start·w, start·w/2, start·w/4, ... whose move of facet
-    i keeps every facet, w the width h_K(z_i) + h_K(-z_i) of K along z_i."""
-    z = K.facets[i].normal
-    t = start * (support_value(K, z) + support_value(K, tuple(-c for c in z)))
-    frame = _move_frame(K, i)
-    while _moved_vertices(K, i, t, frame) is None:
-        t /= 2
-    return t
+    return verts, len(hd.vertex_indices) == len(dual)
 
 
 def safe_move_range(K: Polytope, facet_index: int):
@@ -209,21 +186,39 @@ def safe_move_range(K: Polytope, facet_index: int):
     With w = h_K(z_i) + h_K(-z_i) the width of K along z_i, t_max is the
     first of w, w/2, w/4, ... whose move keeps every facet, and t_min the
     first of -w/2, -w/4, .... The interval need not be maximal: a simplex
-    keeps every t in (-w, oo), and its ladders stop at their first rungs,
-    [-w/2, w]. A ladder ends, since every small enough move keeps every
-    facet; it takes about log2(w / d) rungs, d the distance to the nearest
-    move that loses a facet.
+    keeps every t in (-w, oo), and its ends are -w/2 and w.
 
-    Checking the two endpoints certifies the whole interval. For
-    0 < lambda < 1, K_{lambda·s} contains lambda·K_s + (1 - lambda)·K facet
-    by facet: that body's support in z_j is at most the j-th bound of
-    K_{lambda·s}, and its face there is lambda·F_j(K_s) + (1 - lambda)·F_j(K),
-    which is (n-1)-dimensional, as both are facets, and lies on that
-    bound's hyperplane. So every z_j stays a facet normal of K_{lambda·s}.
+    For t != 0, K_t keeps every facet exactly when T_min < t < T_max, so
+    each end is found by halving a number against one bound:
+    - T_min is the largest, over facets j != i, of min <z_i, v> over the
+      vertices v of F_j, minus h_i. For t < 0, K_t = K ∩ {<z_i, x> <=
+      h_i + t}, so F_j(K_t) is F_j cut by that halfspace, and it is
+      (n-1)-dimensional iff the open side meets F_j. No hull is needed.
+    - T_max is the supremum of <z_i, x> over K without constraint i, minus
+      h_i. For t > 0, K ⊂ K_t, so F_j(K) ⊂ F_j(K_t) for every j != i, and
+      only facet i can vanish. One hull of K_w decides it: if facet i
+      survives there, t_max = w; otherwise K_w is K without constraint i,
+      and T_max is the largest <z_i, v> over its vertices, minus h_i.
     """
-    if not 0 <= facet_index < len(facet_structure(K)):
+    facets = facet_structure(K)
+    if not 0 <= facet_index < len(facets):
         raise BadParams(f"facet index {facet_index} out of range")
-    return _ladder(K, facet_index, Fraction(-1, 2)), _ladder(K, facet_index, 1)
+    z, h = facets[facet_index].normal, facets[facet_index].offset
+    rows, s = K.ints
+    w = h - Fraction(min(dot(z, row) for row in rows), s)
+    others = (f for j, f in enumerate(facets) if j != facet_index)
+    lowest = max(min(dot(z, rows[k]) for k in f.vertices) for f in others)
+    floor = Fraction(lowest, s) - h
+    t_min = -w / 2
+    while t_min <= floor:
+        t_min /= 2
+    t_max = w
+    verts, kept = _moved_vertices(K, facet_index, w)
+    if not kept:
+        ceiling = max(dot(z, v) for v in verts) - h
+        while t_max >= ceiling:
+            t_max /= 2
+    return t_min, t_max
 
 
 def move_facet(K: Polytope, spec: MoveSpec) -> Polytope:
@@ -234,12 +229,12 @@ def move_facet(K: Polytope, spec: MoveSpec) -> Polytope:
     if not 0 <= i < len(facet_structure(K)):
         raise BadParams(f"facet index {i} out of range")
     t = Fraction(spec.t)
-    verts = _moved_vertices(K, i, t, _move_frame(K, i))
-    if verts is None:
+    moved = _moved_vertices(K, i, t)
+    if moved is None or not moved[1]:
         raise RangeViolation(
             f"moving facet {i} by t={t} loses a facet or flattens or empties K"
         )
-    return _from_points(verts, K.dim)
+    return _from_points(moved[0], K.dim)
 
 
 def cap_cut(K: Polytope, z, eps) -> Polytope:
@@ -376,7 +371,7 @@ def simplex_audit(K: Polytope) -> AuditReport:
     facets = facet_structure(K)
     records = []
     for i, fi in enumerate(facets):
-        t = _ladder(K, i, 1) / 2
+        t = safe_move_range(K, i)[1] / 2
         rows = [(f.offset, *f.normal, int(j == i)) for j, f in enumerate(facets)]
         scale = None
         if rank(rows) == n + 1:

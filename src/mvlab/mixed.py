@@ -45,6 +45,7 @@ from math import factorial, lcm
 
 from .errors import (
     BadArity,
+    BadParams,
     DegenerateInput,
     DimensionLimit,
     DimensionMismatch,
@@ -81,7 +82,10 @@ class DiscreteMeasure:
         return tuple(normal for normal, _ in self.atoms)
 
     def scaled(self, lam: Fraction) -> "DiscreteMeasure":
+        """lam times this measure, for a rational lam >= 0."""
         lam = Fraction(lam)
+        if lam < 0:
+            raise BadParams("measure scale factor must be nonnegative")
         if lam == 0:
             return DiscreteMeasure(self.dim, ())
         return DiscreteMeasure(
@@ -182,12 +186,10 @@ def _mixed_volume_fast(bodies) -> Fraction:
             return _first_variation(next(b for b in bodies if b != K), K)
     for i, S in enumerate(bodies):
         if S.adim == 1:
+            # V([a, b]/s, rest) = V([0, b - a], rest)/s
             (a, b), s = S.ints
-            return _project_segment_slot(
-                tuple(Fraction(y - x, s) for x, y in zip(a, b)),
-                bodies[:i] + bodies[i + 1 :],
-                _mixed_volume_fast,
-            )
+            rest = bodies[:i] + bodies[i + 1 :]
+            return _project_segment_slot(vsub(b, a), rest, _mixed_volume_fast) / s
     for K in bodies:
         if K.is_full_dimensional and sum(b == K for b in bodies) == n - 2:
             L, M = (b for b in bodies if b != K)

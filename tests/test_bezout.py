@@ -28,7 +28,6 @@ from mvlab.bezout import (
     safe_move_range,
     simplex_audit,
     support_drop_set,
-    _move_frame,
     _moved_vertices,
 )
 from mvlab.errors import (
@@ -239,6 +238,12 @@ def _width(K, i):
     return support_value(K, z) + support_value(K, tuple(-c for c in z))
 
 
+def _keeps(K, i, t):
+    """True iff _moved_vertices finds that K_t keeps every facet of K."""
+    moved = _moved_vertices(K, i, t)
+    return moved is not None and moved[1]
+
+
 def _move_bodies():
     """The bodies of acceptance criteria 5 and 6, cross_polytope(3) and the
     square pyramid."""
@@ -287,22 +292,25 @@ def test_shift_facet_centroid_outside():
 def test_shift_facet_flat_and_empty():
     for K in (simplex(2), cube(3), cross_polytope(3)):
         for i in range(len(facet_structure(K))):
-            w, frame = _width(K, i), _move_frame(K, i)
-            assert _moved_vertices(K, i, -w, frame) is None
+            w = _width(K, i)
+            assert _moved_vertices(K, i, -w) is None
             assert _brute_shift(K, i, -w).adim < K.dim
-            assert _moved_vertices(K, i, -2 * w, frame) is None
+            assert _moved_vertices(K, i, -2 * w) is None
             with pytest.raises(EmptyIntersection):
                 _brute_shift(K, i, -2 * w)
 
 
 def test_shift_facet_vanishing_facet():
-    # the cut x_1 <= 3/4 of truncated_simplex(2, 1/4) vanishes at t = 1/4
+    # the cut x_1 <= 3/4 of truncated_simplex(2, 1/4) vanishes at t = 1/4;
+    # the vertices of the moved body still come back, with kept false
     K = truncated_simplex(2, F(1, 4))
     i = next(j for j, f in enumerate(facet_structure(K)) if f.normal == (1, 0))
     for t in (F(1, 4), F(1, 2)):
-        assert _moved_vertices(K, i, t, _move_frame(K, i)) is None
+        verts, kept = _moved_vertices(K, i, t)
+        assert not kept
         ref = _brute_shift(K, i, t)
         assert ref == simplex(2) and len(ref.facets) == 3
+        assert convex_hull(verts, 2) == ref
     assert safe_move_range(K, i)[1] == F(3, 16)
 
 
@@ -312,19 +320,46 @@ def test_safe_move_range_ladder():
     # ladders stop at their first rungs, -w/2 and w
     for K in _move_bodies():
         for i in range(len(facet_structure(K))):
-            w, frame = _width(K, i), _move_frame(K, i)
+            w = _width(K, i)
             t_min, t_max = safe_move_range(K, i)
             for ratio in (w / t_max, -w / 2 / t_min):
                 assert ratio.denominator == 1
                 assert ratio.numerator & (ratio.numerator - 1) == 0
             if t_max < w:
-                assert _moved_vertices(K, i, 2 * t_max, frame) is None
+                assert not _keeps(K, i, 2 * t_max)
             if t_min > -w / 2:
-                assert _moved_vertices(K, i, 2 * t_min, frame) is None
+                assert not _keeps(K, i, 2 * t_min)
             if len(K.vertices) == K.dim + 1:
                 assert (t_min, t_max) == (-w / 2, w)
                 for t in (-3 * w / 4, 4 * w):
-                    assert _moved_vertices(K, i, t, frame) is not None
+                    assert _keeps(K, i, t)
+
+
+def _reference_ladder(K, i, start):
+    """The first of start·w, start·w/2, ... whose move vertex_enumeration
+    finds keeping every facet of K, w the width of K along z_i."""
+    t = start * _width(K, i)
+    while True:
+        Kt = _brute_shift(K, i, t)
+        if Kt.adim == K.dim and len(Kt.facets) == len(K.facets):
+            return t
+        t /= 2
+
+
+def test_safe_move_range_matches_reference_ladder():
+    # the interval's ends are open: on the cut facet (1, 0) of
+    # truncated_simplex(2, 1/2), the move 2·t_max = 1/2 = w loses the
+    # facet, and on the hexagon both ends of every facet fall on a rung
+    cut = truncated_simplex(2, F(1, 2))
+    hexagon = convex_hull([(0, 0), (2, 0), (3, 1), (2, 2), (0, 2), (-1, 1)], 2)
+    for K in [cut, hexagon] + _move_bodies():
+        for i in range(len(facet_structure(K))):
+            assert safe_move_range(K, i) == (
+                _reference_ladder(K, i, F(-1, 2)),
+                _reference_ladder(K, i, 1),
+            ), (K, i)
+    i = next(j for j, f in enumerate(facet_structure(cut)) if f.normal == (1, 0))
+    assert safe_move_range(cut, i)[1] == F(1, 4)
 
 
 def test_safe_move_range_thin_body():
@@ -344,16 +379,20 @@ def test_safe_move_range_thin_body():
 
 
 def test_safe_move_range_builds_no_body(monkeypatch):
-    # each rung is one dual hull; K_t is built only by move_facet
-    bodies = (cube(3), random_hull(4, 7, 2))
-    calls = []
-    build = bezout._from_points
+    # each range costs one dual hull, of K_w; K_t is built only by
+    # move_facet
+    bodies = (cube(3), random_hull(4, 7, 2), truncated_simplex(2, F(1, 10**21)))
+    calls, hulls = [], []
+    build, hull = bezout._from_points, bezout.hull_int
     monkeypatch.setattr(
         bezout, "_from_points", lambda *a: calls.append(a) or build(*a)
     )
+    monkeypatch.setattr(bezout, "hull_int", lambda *a: hulls.append(a) or hull(*a))
     for K in bodies:
         for i in range(len(facet_structure(K))):
+            before = len(hulls)
             safe_move_range(K, i)
+            assert len(hulls) == before + 1
     assert calls == []
     move_facet(bodies[0], MoveSpec(0, F(1, 2)))
     assert len(calls) == 1
@@ -702,9 +741,9 @@ def test_audit_climbs_only_the_ladder_it_reports(monkeypatch):
     seen = []
     rung = bezout._moved_vertices
 
-    def spy(K, i, t, frame):
+    def spy(K, i, t):
         seen.append(t)
-        return rung(K, i, t, frame)
+        return rung(K, i, t)
 
     bodies = [
         simplex(3), cube(3), cross_polytope(3), square_pyramid(),

@@ -16,6 +16,7 @@ from mvlab import mixed
 from mvlab.bezout import MoveSpec, move_facet, safe_move_range
 from mvlab.errors import (
     BadArity,
+    BadParams,
     DegenerateInput,
     DimensionLimit,
     DimensionMismatch,
@@ -287,6 +288,10 @@ def test_measure_support_matches_surface_measure():
 def test_measure_scaled():
     m = surface_area_measure(square()).scaled(F(3, 2))
     assert m.weight((1, 0)) == F(3, 2)
+    assert m.scaled(0).atoms == ()
+    # weights stay positive: a negative factor is refused, as dilate does
+    with pytest.raises(BadParams):
+        m.scaled(-1)
 
 
 def test_clear_caches_is_safe():
