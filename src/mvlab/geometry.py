@@ -35,6 +35,7 @@ from .hull import hull_int
 from .linalg import (
     cross_rows,
     dot,
+    primitive,
     primitive_from_rational,
     scale_to_int,
 )
@@ -415,23 +416,28 @@ def project_along(P: Polytope, v):
     with no square root. The map is unchanged when v is scaled, so it runs
     on the primitive integer direction u of v: a vertex row x at scale s
     maps to the row (x_j·u_k - x_k·u_j)_{j != k} at scale s·|u_k|. Along an
-    axis e_k (u_k = ±1) that deletes coordinate k.
+    axis e_k (u_k = ±1) that deletes coordinate k. An integer v is reduced
+    to u directly; any other v is first made exact as `Fraction`s.
     """
     if P.is_empty:
         raise DegenerateInput("projection of the empty polytope")
-    v = tuple(Fraction(c) for c in v)
+    v = tuple(v)
     n = P.dim
     if len(v) != n:
         raise DimensionMismatch("direction length mismatch")
-    k = next((i for i, c in enumerate(v) if c), None)
+    if all(type(c) is int for c in v):
+        u = primitive(v)
+    else:
+        v = tuple(Fraction(c) for c in v)
+        u = primitive_from_rational(v)
+    k = next((i for i, c in enumerate(u) if c), None)
     if k is None:
         raise ZeroVector("projection direction is zero")
-    u = primitive_from_rational(v)
     sign = 1 if u[k] > 0 else -1
     coef = [(j, sign * u[k], sign * u[j]) for j in range(n) if j != k]
     rows, s = P.ints
     pts = [tuple(x[j] * a - x[k] * b for j, a, b in coef) for x in rows]
-    return _from_int_points(pts, s * abs(u[k]), n - 1), abs(v[k])
+    return _from_int_points(pts, s * abs(u[k]), n - 1), Fraction(abs(v[k]))
 
 
 def interior_point(P: Polytope) -> tuple[Fraction, ...]:

@@ -1,8 +1,10 @@
 """Convex hull engine on integer coordinates, exact in all dimensions up to 4.
 
-hull_int takes any nonempty point set in R^d, deduplicated and sorted. One
-search (_initial_simplex) finds r+1 affinely independent hull vertices, r
-the affine dimension. A flat set (r < d) has no facets and volume 0; its
+hull_int takes any nonempty point set in R^d, deduplicated and sorted.
+d+1 affinely independent points, d >= 1, are a simplex, whose hull is built
+in closed form (simplex rule, below). For any other set, one search
+(_initial_simplex) finds r+1 affinely independent hull vertices, r the
+affine dimension. A flat set (r < d) has no facets and volume 0; its
 extreme points are all r+1 points, the lex ends of a line, or those of its
 chart, the coordinates at the pivot columns of the echelon form of the r
 directions. The chart is injective on the flat and keeps the lex order (an
@@ -46,6 +48,16 @@ and the simplex adds gcd(n)/(d-1)! to its facet's weight Vol_{d-1}/||z||,
 z = n/gcd(n). The simplices in a facet cover it, so by (d) a facet's
 vertices are the points of its simplices, and the hull's vertices are the
 union of those.
+
+Simplex rule. Let p_0 be the lex-first of d+1 points and e_k = p_k - p_0.
+N_k = cross_rows(the edges other than e_k) is normal to the facet without
+p_k, which passes through p_0, and <N_k, e_k> = +-det(e_1..e_d). So the
+points are independent iff that is nonzero, and N_k turned so that
+<N_k, e_k> < 0 is outward. Its length is (d-1)! Vol_{d-1} of the facet, so
+by Minkowski's relation, sum over facets F of Vol_{d-1}(F) u_F = 0 with u_F
+the outward unit normals, the outward N of the facet without p_0 is minus
+the sum of the N_k. Each facet is one boundary simplex: its weight is
+gcd(N)/(d-1)!, its vertices are its d points, and the volume is |det|/d!.
 """
 
 from __future__ import annotations
@@ -82,6 +94,8 @@ def hull_int(raw_points, dim: int) -> HullData:
     affine dimension (module docstring). A point in R^0 takes the flat
     path: it is its own r+1 = 1 extreme point."""
     pts = sorted(set(tuple(p) for p in raw_points))
+    if len(pts) == dim + 1 > 1 and (hd := _simplex(pts, dim)) is not None:
+        return hd
     init, dirs = _initial_simplex(pts, dim)
     r = len(dirs)
     if r == dim > 0:
@@ -95,6 +109,32 @@ def hull_int(raw_points, dim: int) -> HullData:
         chart = [tuple(p[c] for c in pivots) for p in pts]
         verts = hull_int(chart, r).vertex_indices
     return HullData(dim, r, tuple(pts), tuple(verts), (), Fraction(0))
+
+
+def _simplex(pts, d) -> HullData | None:
+    """HullData of d+1 affinely independent points, d >= 1, in closed form;
+    None when they are dependent (module docstring, simplex rule)."""
+    p0 = pts[0]
+    edges = [vsub(p, p0) for p in pts[1:]]
+    normals = []  # normals[i]: outward, of the facet without vertex i
+    for k, e in enumerate(edges):
+        n = cross_rows(edges[:k] + edges[k + 1 :])
+        det = dot(n, e)  # +-det(edges): zero for every k or for none
+        if not det:
+            return None
+        normals.append(tuple(-x for x in n) if det > 0 else n)
+    normals.insert(0, tuple(-sum(c) for c in zip(*normals)))
+    fact = factorial(d - 1)
+    facets = []
+    for i, n in enumerate(normals):
+        g = gcd_vec(n)
+        z = tuple(x // g for x in n)
+        on = pts[1] if i == 0 else p0
+        verts = tuple(j for j in range(d + 1) if j != i)
+        facets.append(HullFacet(z, dot(z, on), Fraction(g, fact), verts))
+    facets.sort(key=lambda f: f.normal)
+    volume = Fraction(abs(det), factorial(d))
+    return HullData(d, d, tuple(pts), tuple(range(d + 1)), tuple(facets), volume)
 
 
 def _cross2(o, a, b):

@@ -364,14 +364,15 @@ def test_integer_rows_reference_images():
     sums = [tuple(a + b for a, b in zip(p, q)) for p in A.vertices for q in B.vertices]
     assert minkowski_sum(A, B) == convex_hull(sums, 2)
     K = _cube3()
-    for v in ((0, 0, 1), (-2, 1, F(1, 2)), (0, F(-3, 2), 1)):
+    for v in ((0, 0, 1), (-2, 1, F(1, 2)), (0, F(-3, 2), 1), (0.5, -1, 0.25)):
         k = next(i for i, c in enumerate(v) if c)
         images = [
-            tuple(x[j] - x[k] * F(v[j]) / v[k] for j in range(3) if j != k)
+            tuple(x[j] - x[k] * F(v[j]) / F(v[k]) for j in range(3) if j != k)
             for x in K.vertices
         ]
         P, factor = project_along(K, v)
         assert P == convex_hull(images, 2) and factor == abs(F(v[k]))
+        assert type(factor) is F
     assert interior_point(B) == tuple(sum(c) / 3 for c in zip(*B.vertices))
 
 

@@ -245,7 +245,9 @@ def test_interior_heavy_matches_brute_force(cloud):
 def test_every_inserted_point_is_a_vertex(cloud):
     # the initial simplex is made of vertices, and each inserted point
     # maximises a simplex's normal over every point still outside, so every
-    # point of every boundary simplex the kernel makes is a vertex
+    # point of every boundary simplex the kernel makes is a vertex; d+1
+    # points are a simplex, which the kernel builds in closed form with no
+    # boundary simplices, and each of them is a vertex
     d, pts = cloud
     rows, _ = scale_to_int(pts)
     made = []
@@ -257,8 +259,53 @@ def test_every_inserted_point_is_a_vertex(cloud):
 
     with patch.object(hull, "_F", spy):
         hd = hull_int(rows, d)
-    assert made
-    assert {i for verts in made for i in verts} <= set(hd.vertex_indices)
+    if len(hd.points) == d + 1:
+        assert not made and hd.vertex_indices == tuple(range(d + 1))
+    else:
+        assert made
+        assert {i for verts in made for i in verts} <= set(hd.vertex_indices)
+
+
+@st.composite
+def simplex_clouds(draw):
+    """d+1 distinct integer points in R^d, d = 1..4, with coordinates up to
+    2 or up to 10^12 in size. The last point is an integer affine
+    combination of the others when the cloud is to be dependent."""
+    d = draw(st.integers(min_value=1, max_value=4))
+    span = draw(st.sampled_from([2, 10**12]))
+    x = st.integers(min_value=-span, max_value=span)
+    pts = draw(st.lists(st.tuples(*[x] * d), min_size=d, max_size=d, unique=True))
+    if draw(st.booleans()):
+        pts.append(draw(st.tuples(*[x] * d)))
+    else:
+        c = draw(st.lists(st.integers(-2, 2), min_size=d - 1, max_size=d - 1))
+        pts.append(tuple(p0 + sum(t * (q[j] - p0) for t, q in zip(c, pts[1:]))
+                         for j, p0 in enumerate(pts[0])))
+    assume(len(set(pts)) == d + 1)
+    return d, pts
+
+
+@settings(max_examples=150)
+@example((4, [(0, 0, 0, 0), (1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)]))
+@example((3, [(0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 0)]))
+@given(simplex_clouds())
+def test_simplex_closed_form(cloud):
+    # d+1 affinely independent points get the HullData that the kernel's
+    # search and Quickhull (or the monotone chain at d = 2) would build;
+    # dependent ones keep the flat path
+    d, pts = cloud
+    hd = hull_int(pts, d)
+    pts = sorted(pts)
+    closed = hull._simplex(pts, d)
+    r = rank([vsub(p, pts[0]) for p in pts[1:]])
+    if r < d:
+        assert closed is None
+        assert (hd.dim, hd.adim, hd.facets, hd.volume) == (d, r, (), 0)
+        assert {0, d} <= set(hd.vertex_indices)
+    elif d == 2:
+        assert hd == closed == hull._hull_2d(pts)
+    else:
+        assert hd == closed == hull._build(pts, d, hull._initial_simplex(pts, d)[0])
 
 
 @settings(max_examples=80)
@@ -396,7 +443,10 @@ def _rank_decisions(pts, d):
 
 
 def test_one_rank_decision_per_hull():
-    # a full-dimensional hull is one search and no elimination
+    # a simplex is built in closed form, with no search
+    for d in range(1, 5):
+        assert _rank_decisions([(0,) * d] + list(hull._AXES[d]), d) == ([], []), d
+    # any other full-dimensional hull is one search and no elimination
     for d, pts in ((1, [(3,), (-1,), (0,)]),
                    (2, _image(_U2, _box((2, 3)))),
                    (3, _image(_U3, _box((2, 1, 3)))),

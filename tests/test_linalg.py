@@ -76,6 +76,9 @@ def test_primitive_from_rational():
     got = primitive_from_rational((Fraction(2, 3), Fraction(-4, 5)))
     assert got == (5, -6)
     assert primitive_from_rational((Fraction(1, 2), Fraction(0))) == (1, 0)
+    # an integer direction reduces as primitive reduces it
+    v = (0, -4, 6, 0)
+    assert primitive_from_rational(v) == (0, -2, 3, 0) == primitive(v)
 
 
 def test_rank_rref():
