@@ -51,6 +51,7 @@ from .geometry import (
     support_value,
     vertex_adjacency,
     _from_points,
+    _support_rows,
 )
 from .hull import hull_int
 from .linalg import dot, primitive_from_rational, rank, scale_to_int, vsub
@@ -137,7 +138,9 @@ def bezout_gap_general(bodies, delta: Polytope, r: int) -> Fraction:
     rhs = Fraction(1)
     for b in bodies:
         rhs *= _mixed_volume_fast([b] + [delta] * (n - 1))
-    lhs = _mixed_volume_fast(bodies + [delta] * (n - r)) * delta.volume ** (r - 1)
+    v, vd = delta.volume_ints
+    power = Fraction(v ** (r - 1), vd ** (r - 1))  # V_n(delta)^(r-1)
+    lhs = _mixed_volume_fast(bodies + [delta] * (n - r)) * power
     return rhs - lhs
 
 
@@ -266,17 +269,21 @@ def support_drop_set(K: Polytope, M: Polytope):
 
     A facet of K through a vertex of M is never one, since there
     h_M(z) >= h_K(z) whether or not M ⊆ K, so M is scanned only for K's
-    other facets. Vertices are matched as integer rows at lcm(s_K, s_M)."""
-    facets = facet_structure(K)
+    other facets. Vertices are matched as integer rows at lcm(s_K, s_M), and
+    h_M(z) = max<z, row_M>/s_M < c/cd, K's offset, is compared as
+    max<z, row_M>·cd < c·s_M."""
+    if not K.is_full_dimensional:
+        raise DegenerateInput("facet structure requires a full-dimensional polytope")
     (rk, sk), (rm, sm) = K.ints, M.ints
+    frows, cd, _ = K.facet_ints
     s = lcm(sk, sm)
     a, b = s // sk, s // sm
     ours = {tuple(b * c for c in row) for row in rm}
     shared = {i for i, row in enumerate(rk) if tuple(a * c for c in row) in ours}
     return tuple(
-        f.normal
-        for f in facets
-        if shared.isdisjoint(f.vertices) and support_value(M, f.normal) < f.offset
+        z
+        for z, c, inc, _ in frows
+        if shared.isdisjoint(inc) and max(_support_rows(M, z)[0]) * cd < c * sm
     )
 
 

@@ -4,9 +4,11 @@ Every quantity in this module is a Fraction or an integer; there are no
 epsilon tolerances anywhere. Polytopes are immutable value objects carrying
 their ambient dimension, affine-hull dimension, lexicographically sorted
 extreme points as integer rows over one scale, and (for full-dimensional
-ones) the facet structure and exact volume computed at construction time.
-The rows are a body's identity: bodies compare, hash and sort by them at
-their least scale, and Fraction vertices are built only when read.
+ones) the facet structure and exact volume as integer numerators over
+stored denominators, taken from the hull kernel as they are. The rows are a
+body's identity: bodies compare, hash and sort by them at their least
+scale. The Fraction vertices, facets and volume are views, each built only
+when read; the gap and search code reads the integers.
 
 Directions are integer vectors. A primitive integer normal z stands in for
 the unit normal z/||z||; offsets and facet weights are stored in the
@@ -20,7 +22,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, combinations
-from math import gcd, lcm
+from math import factorial, gcd, lcm
 
 from .errors import (
     DegenerateInput,
@@ -41,6 +43,8 @@ from .linalg import (
 )
 
 DIM_CAP = 4  # polarization cost is 2^n - 1 volumes; keep n small
+_FACTORIAL = tuple(factorial(k) for k in range(DIM_CAP + 1))
+_NO_FACETS = ((), 1, 1)  # facet_ints of a lower-dimensional body
 
 @dataclass(frozen=True)
 class Halfspace:
@@ -52,6 +56,10 @@ class Halfspace:
 
 @dataclass(frozen=True)
 class FacetData:
+    """One facet of a Polytope's facet view, built from the body's
+    facet_ints on first read: offset = c / cd and normalized_volume =
+    w / wd, always Fractions."""
+
     normal: tuple[int, ...]  # primitive, outward
     offset: Fraction  # facet lies in {<x, normal> = offset}
     vertices: tuple[int, ...]  # indices into the parent vertex list
@@ -72,25 +80,47 @@ class Polytope:
     and every entry, computed once on first use: the facets and the volume
     are functions of the vertices.
 
-    Polytope(dim, adim, vertices, facets, volume, ints=None) fills ints
-    from the given vertices, which stay the body's vertex view. With ints
-    given, vertices may be None: the view, rows[i] / s as a tuple of
-    Fraction tuples, is then built on first read.
+    facet_ints = (frows, cd, wd) encodes the facets, sorted by normal: one
+    row (normal, c, incidence, w) per facet, with offset c / cd and
+    normalized volume w / wd, incidence indexing the vertex rows.
+    volume_ints = (v, vd) encodes the volume v / vd. A hull at scale s
+    takes the kernel's integers as they are, over cd = s, wd = (n-1)!·s^(n-1)
+    and vd = n!·s^n (hull.hull_int); a lower-dimensional body has no facets
+    and volume 0. The denominators are stored, not derived from s: a
+    translation changes s but keeps every weight and the volume, and views
+    given as Fractions fix their own denominators.
+
+    Polytope(dim, adim, vertices, facets, volume, ints=None,
+    facet_ints=None, volume_ints=None) fills each integer encoding that is
+    not given from its given view, which stays the body's view. A view
+    given as None is built from its integers on first read: the vertices
+    as rows[i] / s, the facets as FacetData and the volume as a Fraction.
     """
 
-    __slots__ = ("dim", "adim", "facets", "volume", "ints", "_vertices", "_key")
+    __slots__ = ("dim", "adim", "ints", "facet_ints", "volume_ints",
+                 "_vertices", "_facets", "_volume", "_key")
 
-    def __init__(self, dim, adim, vertices, facets, volume, ints=None):
+    def __init__(self, dim, adim, vertices, facets, volume, ints=None,
+                 facet_ints=None, volume_ints=None):
         if ints is None:
             rows, s = scale_to_int(vertices)
             ints = (tuple(rows), s)
+        if facet_ints is None:
+            (cs,), cd = scale_to_int([[f.offset for f in facets]])
+            (ws,), wd = scale_to_int([[f.normalized_volume for f in facets]])
+            frows = zip((f.normal for f in facets), cs, (f.vertices for f in facets), ws)
+            facet_ints = (tuple(frows), cd, wd)
+        if volume_ints is None:
+            volume_ints = (volume.numerator, volume.denominator)
         init = object.__setattr__
         init(self, "dim", dim)
         init(self, "adim", adim)
-        init(self, "facets", facets)
-        init(self, "volume", volume)
         init(self, "ints", ints)
+        init(self, "facet_ints", facet_ints)
+        init(self, "volume_ints", volume_ints)
         init(self, "_vertices", vertices)
+        init(self, "_facets", facets)
+        init(self, "_volume", volume)
         init(self, "_key", None)
 
     def __setattr__(self, name, value):
@@ -98,8 +128,9 @@ class Polytope:
 
     __delattr__ = __setattr__
 
-    def __reduce__(self):  # pickle and copy through the constructor
-        args = (self.dim, self.adim, self._vertices, self.facets, self.volume, self.ints)
+    def __reduce__(self):  # pickle and copy the integers, not the views
+        args = (self.dim, self.adim, None, None, None, self.ints,
+                self.facet_ints, self.volume_ints)
         return Polytope, args
 
     @property
@@ -109,6 +140,21 @@ class Polytope:
             view = tuple(tuple(Fraction(c, s) for c in row) for row in rows)
             object.__setattr__(self, "_vertices", view)
         return self._vertices
+
+    @property
+    def facets(self):
+        if self._facets is None:
+            frows, cd, wd = self.facet_ints
+            view = tuple(FacetData(z, Fraction(c, cd), inc, Fraction(w, wd))
+                         for z, c, inc, w in frows)
+            object.__setattr__(self, "_facets", view)
+        return self._facets
+
+    @property
+    def volume(self):
+        if self._volume is None:
+            object.__setattr__(self, "_volume", Fraction(*self.volume_ints))
+        return self._volume
 
     def key(self):
         if self._key is None:
@@ -165,17 +211,22 @@ def _from_points(points, dim: int) -> Polytope:
 def _from_int_points(rows, s: int, dim: int) -> Polytope:
     """Hull of the nonempty point set rows[i] / s, for integer rows and
     s > 0, built in integers by hull_int, which also finds its affine
-    dimension; the body keeps its vertex rows at scale s. At a positive
-    scale, integer rows sort in the lex order of the points."""
+    dimension; the body keeps its vertex rows at scale s, and the kernel's
+    offsets, weight numerators and volume numerator over s, (dim-1)!·s^(dim-1)
+    and dim!·s^dim. At a positive scale, integer rows sort in the lex order
+    of the points."""
     hd = hull_int(rows, dim)
-    position = {i: k for k, i in enumerate(hd.vertex_indices)}
-    facets = []
-    for hf in hd.facets:
-        incident = tuple(position[i] for i in hf.vertices)
-        weight = hf.weight / s ** (dim - 1)
-        facets.append(FacetData(hf.normal, Fraction(hf.offset, s), incident, weight))
     verts = tuple(hd.points[i] for i in hd.vertex_indices)
-    return Polytope(dim, hd.adim, None, tuple(facets), hd.volume / s**dim, (verts, s))
+    if hd.adim < dim:
+        return Polytope(dim, hd.adim, None, None, None, (verts, s), _NO_FACETS, (0, 1))
+    position = {i: k for k, i in enumerate(hd.vertex_indices)}
+    frows = tuple(
+        (hf.normal, hf.offset, tuple(position[i] for i in hf.vertices), hf.weight)
+        for hf in hd.facets
+    )
+    wd = _FACTORIAL[dim - 1] * s ** (dim - 1)
+    return Polytope(dim, dim, None, None, None, (verts, s), (frows, s, wd),
+                    (hd.volume, _FACTORIAL[dim] * s**dim))
 
 
 def convex_hull(points, dim: int, allow_lower: bool = False) -> Polytope:
@@ -304,8 +355,9 @@ def face_in_direction(P: Polytope, z) -> Polytope:
 def minkowski_sum(P: Polytope, Q: Polytope) -> Polytope:
     """P + Q from the pairwise sums of their vertex rows at scale lcm(sp, sq).
     When one operand is a point q, the sum is the other body moved by q:
-    its rows shift, its facets keep their incidence and weights with
-    offsets moved by <z, q>, and no hull is built."""
+    its rows shift, its facets keep their incidence and weights and its
+    volume stays, with each offset numerator moved by <z, q> over the
+    common denominator of the offsets and q, and no hull is built."""
     if P.dim != Q.dim:
         raise DimensionMismatch(f"dim {P.dim} vs {Q.dim}")
     if P.is_empty or Q.is_empty:
@@ -317,14 +369,14 @@ def minkowski_sum(P: Polytope, Q: Polytope) -> Polytope:
     a, b = s // sp, s // sq
     if len(rq) == 1:
         # translation keeps the lex order, so facet indices stay valid
-        rows = tuple(tuple(a * x + b * y for x, y in zip(p, rq[0])) for p in rp)
-        q = tuple(Fraction(c, sq) for c in rq[0])
-        facets = tuple(
-            FacetData(f.normal, f.offset + dot(f.normal, q), f.vertices,
-                      f.normalized_volume)
-            for f in P.facets
-        )
-        return Polytope(P.dim, P.adim, None, facets, P.volume, (rows, s))
+        q = rq[0]
+        rows = tuple(tuple(a * x + b * y for x, y in zip(p, q)) for p in rp)
+        frows, cd, wd = P.facet_ints
+        t = lcm(cd, sq)
+        ca, cq = t // cd, t // sq
+        frows = tuple((z, ca * c + cq * dot(z, q), inc, w) for z, c, inc, w in frows)
+        return Polytope(P.dim, P.adim, None, None, None, (rows, s),
+                        (frows, t, wd), P.volume_ints)
     pts = {
         tuple(a * x + b * y for x, y in zip(p, q))
         for p in rp
@@ -347,21 +399,23 @@ def dilate(P: Polytope, lam) -> Polytope:
     if P.is_empty:
         return P
     if lam == 0:
-        return Polytope(P.dim, 0, None, (), Fraction(0), (((0,) * P.dim,), 1))
-    facets = tuple(
-        FacetData(
-            f.normal,
-            f.offset * lam,
-            f.vertices,
-            f.normalized_volume * lam ** (P.dim - 1),
-        )
-        for f in P.facets
-    )
-    # lam > 0 keeps the lex order: numerator on the rows, denominator on s
+        return Polytope(P.dim, 0, None, None, None, (((0,) * P.dim,), 1),
+                        _NO_FACETS, (0, 1))
+    # lam > 0 keeps the lex order: numerator on the rows, denominator on s;
+    # offsets scale by lam, weights by lam^(n-1) and the volume by lam^n
+    num, den = lam.numerator, lam.denominator
     rows, s = P.ints
-    rows = tuple(tuple(lam.numerator * c for c in row) for row in rows)
-    ints = (rows, s * lam.denominator)
-    return Polytope(P.dim, P.adim, None, facets, P.volume * lam**P.dim, ints)
+    ints = (tuple(tuple(num * c for c in row) for row in rows), s * den)
+    facet_ints, volume_ints = P.facet_ints, P.volume_ints
+    if P.is_full_dimensional:
+        n = P.dim
+        frows, cd, wd = facet_ints
+        wn = num ** (n - 1)
+        frows = tuple((z, num * c, inc, wn * w) for z, c, inc, w in frows)
+        facet_ints = (frows, cd * den, wd * den ** (n - 1))
+        v, vd = volume_ints
+        volume_ints = (v * num**n, vd * den**n)
+    return Polytope(P.dim, P.adim, None, None, None, ints, facet_ints, volume_ints)
 
 
 def clip_halfspace(P: Polytope, h: Halfspace) -> Polytope:
@@ -455,7 +509,10 @@ def contains_point(P: Polytope, x) -> bool:
     if P.is_empty:
         return False
     if P.is_full_dimensional:
-        return all(dot(f.normal, x) <= f.offset for f in P.facets)
+        # <z, x> <= c / cd at x = X / t, in integers
+        (X,), t = scale_to_int([x])
+        frows, cd, _ = P.facet_ints
+        return all(dot(z, X) * cd <= c * t for z, c, _, _ in frows)
     # lower-dimensional: x must lie in the affine hull and inside the hull
     # there; test by rebuilding the hull with x adjoined
     return _from_points(list(P.vertices) + [x], P.dim) == P
@@ -476,6 +533,6 @@ def vertex_adjacency(P: Polytope):
     if P.dim == 1:  # the one edge is P, which lies on no facet
         return ((0, 1),)
     common = Counter(
-        pair for f in P.facets for pair in combinations(sorted(f.vertices), 2)
+        pair for _, _, inc, _ in P.facet_ints[0] for pair in combinations(sorted(inc), 2)
     )
     return tuple(sorted(pair for pair, k in common.items() if k >= P.dim - 1))

@@ -49,6 +49,12 @@ z = n/gcd(n). The simplices in a facet cover it, so by (d) a facet's
 vertices are the points of its simplices, and the hull's vertices are the
 union of those.
 
+Weights and volumes stay integers: each facet's weight is returned as its
+numerator over (d-1)!, the sum of its simplices' gcd(n), and the volume as
+its numerator over d!, the sum of the pyramids' offset - <n, points[0]>.
+Callers divide once, by those factorials and by the powers of their own
+coordinate scale, and only when they need a Fraction.
+
 Simplex rule. Let p_0 be the lex-first of d+1 points and e_k = p_k - p_0.
 N_k = cross_rows(the edges other than e_k) is normal to the facet without
 p_k, which passes through p_0, and <N_k, e_k> = +-det(e_1..e_d). So the
@@ -57,15 +63,14 @@ points are independent iff that is nonzero, and N_k turned so that
 by Minkowski's relation, sum over facets F of Vol_{d-1}(F) u_F = 0 with u_F
 the outward unit normals, the outward N of the facet without p_0 is minus
 the sum of the N_k. Each facet is one boundary simplex: its weight is
-gcd(N)/(d-1)!, its vertices are its d points, and the volume is |det|/d!.
+gcd(N)/(d-1)!, its vertices are its d points, and the volume is |det|/d!
+(numerators gcd(N) and |det|).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations, count
-from math import factorial
 
 from .errors import InternalCheckError
 from .linalg import _eliminate, cross_rows, dot, gcd_vec, vsub
@@ -75,7 +80,7 @@ from .linalg import _eliminate, cross_rows, dot, gcd_vec, vsub
 class HullFacet:
     normal: tuple[int, ...]  # primitive integer, outward
     offset: int  # <normal, x> == offset on the facet
-    weight: Fraction  # Vol_{d-1}(facet) / ||normal||, exact
+    weight: int  # (d-1)! Vol_{d-1}(facet) / ||normal||, an integer
     vertices: tuple[int, ...]  # extreme points on the facet, as indices into points
 
 
@@ -86,7 +91,7 @@ class HullData:
     points: tuple[tuple[int, ...], ...]  # deduplicated, lex sorted
     vertex_indices: tuple[int, ...]  # extreme points, as indices into points
     facets: tuple[HullFacet, ...]  # sorted by normal; () when adim < dim
-    volume: Fraction  # pyramid decomposition from points[0]; 0 when adim < dim
+    volume: int  # d! Vol_d, by pyramids from points[0]; 0 when adim < dim
 
 
 def hull_int(raw_points, dim: int) -> HullData:
@@ -108,7 +113,7 @@ def hull_int(raw_points, dim: int) -> HullData:
         pivots, _ = _eliminate(dirs, dim)
         chart = [tuple(p[c] for c in pivots) for p in pts]
         verts = hull_int(chart, r).vertex_indices
-    return HullData(dim, r, tuple(pts), tuple(verts), (), Fraction(0))
+    return HullData(dim, r, tuple(pts), tuple(verts), (), 0)
 
 
 def _simplex(pts, d) -> HullData | None:
@@ -124,17 +129,15 @@ def _simplex(pts, d) -> HullData | None:
             return None
         normals.append(tuple(-x for x in n) if det > 0 else n)
     normals.insert(0, tuple(-sum(c) for c in zip(*normals)))
-    fact = factorial(d - 1)
     facets = []
     for i, n in enumerate(normals):
         g = gcd_vec(n)
         z = tuple(x // g for x in n)
         on = pts[1] if i == 0 else p0
         verts = tuple(j for j in range(d + 1) if j != i)
-        facets.append(HullFacet(z, dot(z, on), Fraction(g, fact), verts))
+        facets.append(HullFacet(z, dot(z, on), g, verts))
     facets.sort(key=lambda f: f.normal)
-    volume = Fraction(abs(det), factorial(d))
-    return HullData(d, d, tuple(pts), tuple(range(d + 1)), tuple(facets), volume)
+    return HullData(d, d, tuple(pts), tuple(range(d + 1)), tuple(facets), abs(det))
 
 
 def _cross2(o, a, b):
@@ -163,7 +166,7 @@ def _hull_2d(pts) -> HullData:
         g = gcd_vec((ex, ey))
         z = (ey // g, -ex // g)  # outward for a counterclockwise ring
         ends = tuple(sorted((index[a], index[b])))
-        facets.append(HullFacet(z, dot(z, a), Fraction(g), ends))
+        facets.append(HullFacet(z, dot(z, a), g, ends))
     facets.sort(key=lambda f: f.normal)
     return HullData(
         2,
@@ -171,7 +174,7 @@ def _hull_2d(pts) -> HullData:
         tuple(pts),
         tuple(sorted(index[p] for p in ring)),
         tuple(facets),
-        Fraction(abs(area2), 2),
+        abs(area2),
     )
 
 
@@ -308,11 +311,10 @@ def _build(pts, d, init) -> HullData:
 
     out = []
     for (z, c), simplex_list in groups.items():
-        weight = Fraction(sum(g for _, g in simplex_list), factorial(d - 1))
+        weight = sum(g for _, g in simplex_list)
         on_facet = sorted({i for verts, _ in simplex_list for i in verts})
         out.append(HullFacet(z, c, weight, tuple(on_facet)))
     out.sort(key=lambda f: f.normal)
 
-    volume = Fraction(vol_scaled, factorial(d))
     vertex = sorted({i for f in facets.values() for i in f.verts})
-    return HullData(d, d, tuple(pts), tuple(vertex), tuple(out), volume)
+    return HullData(d, d, tuple(pts), tuple(vertex), tuple(out), vol_scaled)

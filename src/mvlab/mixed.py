@@ -27,8 +27,10 @@ over a body's own facets, projection along a segment slot, and Minkowski's
 polynomial in s for V(L, M, K[n-2]), whose values at s = 1, 2, ... are
 first-variation sums over M + sK) and falls back to polarization; see
 _mixed_volume_fast. Each first-variation sum runs in integers, on L's
-vertex rows and K's facet weights over their common denominator, and
-makes one Fraction.
+vertex rows and the numerators of K's facet weights over their stored
+common denominator, and makes one Fraction. Polarization likewise sums the
+bodies' volume numerators over one common denominator, so neither
+evaluator builds a body's Fraction facets or volume.
 
 Weight convention: a stored atom weight w(z) at a primitive integer normal
 z encodes true-measure(z/||z||) = w(z)·||z||, which keeps every stored value
@@ -146,13 +148,15 @@ def mixed_volume(bodies) -> Fraction:
     bodies, n = _checked(bodies, 0)
     # sorted once, every index-ordered subset is a sorted tuple
     bodies.sort(key=Polytope.key)
-    total = Fraction(0)
+    terms = []  # (signed volume numerator, its denominator)
     for size in range(1, n + 1):
         sign = (-1) ** (n - size)
         for subset in combinations(bodies, size):
             if sum(b.adim for b in subset) >= n:
-                total += sign * _subset_sum(subset).volume
-    return total / factorial(n)
+                v, vd = _subset_sum(subset).volume_ints
+                terms.append((sign * v, vd))
+    D = lcm(*(vd for _, vd in terms))
+    return Fraction(sum(v * (D // vd) for v, vd in terms), D * factorial(n))
 
 
 def _mixed_volume_fast(bodies) -> Fraction:
@@ -178,7 +182,7 @@ def _mixed_volume_fast(bodies) -> Fraction:
     bodies, n = _checked(bodies, 0)
     first = bodies[0]
     if all(b == first for b in bodies):
-        return first.volume
+        return Fraction(*first.volume_ints)
     if any(b.adim == 0 for b in bodies):
         return Fraction(0)
     for K in bodies:
@@ -202,17 +206,15 @@ def _mixed_volume_fast(bodies) -> Fraction:
 def _first_variation(L: Polytope, K: Polytope) -> Fraction:
     """V(L,K[n-1]) = (1/n)·sum of h_L(z)·w(z) over the facets of a
     full-dimensional K, summed in integers: with (rows, s) = L.ints,
-    h_L(z) = max<z, row>/s, and with D the lcm of the weights'
-    denominators, D·w(z) is an integer. So the value is one Fraction,
-    sum of max<z, row>·D·w(z), over s·D·n."""
+    h_L(z) = max<z, row>/s, and w(z) = w/wd for K's weight numerators w
+    over their common denominator wd (Polytope.facet_ints). So the value is
+    one Fraction, sum of max<z, row>·w, over s·wd·n."""
     rows, s = L.ints
-    facets = K.facets
-    D = lcm(*(f.normalized_volume.denominator for f in facets))
+    frows, _, wd = K.facet_ints
     total = 0
-    for f in facets:
-        z, w = f.normal, f.normalized_volume
-        total += max(dot(z, row) for row in rows) * (w.numerator * (D // w.denominator))
-    return Fraction(total, s * D * K.dim)
+    for z, _, _, w in frows:
+        total += max(dot(z, row) for row in rows) * w
+    return Fraction(total, s * wd * K.dim)
 
 
 def _minkowski_coefficient(L: Polytope, M: Polytope, K: Polytope) -> Fraction:
@@ -275,7 +277,7 @@ def mixed_area_measure(bodies) -> DiscreteMeasure:
     bodies, n = _checked(bodies, 1)
     total = _subset_sum(tuple(sorted(bodies, key=Polytope.key)))
     if total.adim == n:
-        candidates = [f.normal for f in total.facets]
+        candidates = [z for z, *_ in total.facet_ints[0]]
     elif total.adim == n - 1:
         z0 = _flat_normal(total)
         candidates = [z0, tuple(-c for c in z0)]

@@ -487,8 +487,9 @@ def test_support_drop_set_matches_scan(monkeypatch):
     """Skipping the facets through a vertex of M changes nothing, whether
     or not M lies in K, and M is scanned only at K's other facets."""
     scans = []
+    rows_of = bezout._support_rows
     monkeypatch.setattr(
-        bezout, "support_value", lambda P, z: scans.append(z) or support_value(P, z)
+        bezout, "_support_rows", lambda P, z: scans.append(z) or rows_of(P, z)
     )
     kinds = set()
     for K, M in _drop_set_pairs():

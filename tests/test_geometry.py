@@ -4,7 +4,7 @@ import random
 from decimal import Decimal
 from fractions import Fraction
 from itertools import combinations
-from math import lcm
+from math import factorial, lcm
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -23,6 +23,7 @@ from mvlab.errors import (
 from mvlab.generators import cross_polytope, cube, random_points
 from mvlab.geometry import (
     _from_int_points,
+    FacetData,
     Halfspace,
     Polytope,
     clip_halfspace,
@@ -40,6 +41,7 @@ from mvlab.geometry import (
     vertex_adjacency,
     vertex_enumeration,
 )
+from mvlab.hull import hull_int
 from mvlab.linalg import dot, rank
 
 F = Fraction
@@ -443,6 +445,95 @@ def test_vertex_view_built_only_when_read():
     assert Polytope(2, 0, given, (), F(0)).vertices is given
 
 
+def _fraction_views(P):
+    """(facets, volume) of P by the Fraction formula of an eager build:
+    hull_int on P's own rows at scale s, each offset over s, each weight
+    Fraction(w, (n-1)!) over s^(n-1) and the volume Fraction(v, n!) over
+    s^n; () and Fraction(0) for a lower-dimensional or empty P."""
+    n = P.dim
+    if not P.is_full_dimensional:
+        return (), F(0)
+    rows, s = P.ints
+    hd = hull_int(rows, n)
+    position = {i: k for k, i in enumerate(hd.vertex_indices)}
+    facets = tuple(
+        FacetData(hf.normal, F(hf.offset, s), tuple(position[i] for i in hf.vertices),
+                  F(hf.weight, factorial(n - 1)) / s ** (n - 1))
+        for hf in hd.facets
+    )
+    return facets, F(hd.volume, factorial(n)) / s**n
+
+
+def _view_bodies(n):
+    """Bodies in R^n (R^(n-1) for the projection) from every constructor
+    that builds or moves facet data."""
+    rng = random.Random(f"views:{n}")
+    K = rand_full_body(rng, n)
+    flat = rand_body(rng, n, count=n)
+    point = convex_hull(random_points(rng, n, 1, 3, 3), n, allow_lower=True)
+    (x,) = random_points(rng, n, 1, 3, 4)
+    z = tuple(rng.choice((-2, -1, 1, 3)) for _ in range(n))
+    mid = (support_value(K, z) - support_value(K, tuple(-c for c in z))) / 2
+    box = [Halfspace(tuple(s * int(i == j) for j in range(n)), b)
+           for i in range(n) for s, b in ((1, 1), (-1, 0))]
+    return [
+        K, flat, point,
+        translate(K, x), translate(flat, x),
+        dilate(K, F(5, 3)), dilate(flat, F(5, 3)), dilate(K, 0),
+        minkowski_sum(K, point), minkowski_sum(point, K), minkowski_sum(flat, point),
+        clip_halfspace(K, Halfspace(z, mid)),
+        project_along(K, z)[0],
+        face_in_direction(K, z), face_in_direction(K, K.facet_ints[0][0][0]),
+        vertex_enumeration(box + [Halfspace(z, F(1, 2))], n),
+        empty_polytope(n),
+    ]
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_facet_and_volume_views_match_fraction_formula(n):
+    """The views built from the integer facet data equal, value, type and
+    repr, the Fractions of an eager build; a lower-dimensional body has no
+    facets and the volume Fraction(0)."""
+    for P in _view_bodies(n):
+        facets, volume = _fraction_views(P)
+        assert (P.facets, P.volume) == (facets, volume)
+        assert repr((P.facets, P.volume)) == repr((facets, volume))
+        assert type(P.volume) is F
+        for f in P.facets:
+            assert type(f.offset) is F and type(f.normalized_volume) is F
+        if not P.is_full_dimensional:
+            assert P.facets == () and P.volume == 0
+
+
+def test_facet_and_volume_views_built_only_when_read():
+    """The gap reads the integer facet data of L, M and K alone; views given
+    to the constructor come back as given; pickle and deepcopy carry the
+    integers, so neither copy nor original gets a view built."""
+    n = 3
+    simplex = [(0, 0, 0), (1, F(1, 2), 0), (0, F(2, 3), 1), (F(1, 3), 0, 2)]
+    cases = [
+        ([(0, 0, 0), (1, F(1, 2), 0)], [(0, F(1, 3), 0), (0, 0, 2)], simplex),
+        (simplex, [(0, 0, 0), (1, 0, 0), (0, F(1, 2), 1)],
+         [(a, b, c) for a in (0, F(1, 2)) for b in (0, 1) for c in (0, 2)]),
+    ]
+    for lp, mp, kp in cases:
+        L, M = (convex_hull(p, n, allow_lower=True) for p in (lp, mp))
+        K = convex_hull(kp, n)
+        bezout_gap(L, M, K)
+        for P in (L, M, K):
+            assert P._facets is None and P._volume is None
+    K = convex_hull(simplex, n)
+    facets, volume = K.facets, K.volume
+    given = Polytope(n, n, None, facets, volume, K.ints)
+    assert given.facets is facets and given.volume is volume
+    P = convex_hull(kp, n)
+    for X in (pickle.loads(pickle.dumps(P)), copy.deepcopy(P)):
+        assert X == P and X.facet_ints == P.facet_ints
+        for Y in (X, P):
+            assert Y._facets is None and Y._volume is None
+        assert (X.facets, X.volume) == _fraction_views(P)
+
+
 # bool, float, Decimal and numeric strings go through Fraction(); int and
 # Fraction coordinates are kept as given
 MIXED_POINTS = [
@@ -489,7 +580,7 @@ def test_clip_leaves_vertex_view_unbuilt():
         for b in (3, -1, F(5, 2), F(1, 3)):
             K = build()
             clip_halfspace(K, Halfspace((1, 1, 1), b))
-            assert K._vertices is None
+            assert K._vertices is None and K._facets is None
 
 # ---------------------------------------------------------------- properties
 
