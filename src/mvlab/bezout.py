@@ -4,8 +4,9 @@ The central quantity is the gap
     gap = V(L,K[n-1])·V(M,K[n-1]) - V(L,M,K[n-2])·V_n(K)
 (and its r-body generalization), which is nonnegative for every pair (L,M)
 exactly when K is a simplex. This module provides the gap evaluators, the
-facet-moving deformation K_{t,i} and its certified safe range (each one
-uncached polar-dual hull, by _moved_vertices), cap cuts,
+facet-moving deformation K_{t,i} (a clip when inward, one uncached
+polar-dual hull by _moved_vertices when outward) and its certified safe
+range (one such hull), cap cuts,
 measure-proportionality and homothety tests, a measure-power identity
 checker, the per-facet simplex audit (it reads homothety of K_{t,i} and K
 off K's support numbers, with no moved body built), and a deterministic
@@ -46,7 +47,6 @@ from .geometry import (
     Polytope,
     clip_halfspace,
     facet_structure,
-    interior_point,
     project_along,
     support_value,
     vertex_adjacency,
@@ -54,7 +54,7 @@ from .geometry import (
     _support_rows,
 )
 from .hull import hull_int
-from .linalg import dot, primitive_from_rational, rank, scale_to_int, vsub
+from .linalg import dot, primitive, primitive_from_rational, rank, vsub
 from .mixed import (
     DiscreteMeasure,
     mixed_area_measure,
@@ -144,42 +144,42 @@ def bezout_gap_general(bodies, delta: Polytope, r: int) -> Fraction:
     return rhs - lhs
 
 
+def _facet_ints(K: Polytope, i=None):
+    """K.facet_ints; DegenerateInput for a flat K, whose facet rows are
+    empty, and BadParams for a facet index i outside 0..F-1."""
+    if not K.is_full_dimensional:
+        raise DegenerateInput("facet structure requires a full-dimensional polytope")
+    if i is not None and not 0 <= i < len(K.facet_ints[0]):
+        raise BadParams(f"facet index {i} out of range")
+    return K.facet_ints
+
+
 def _moved_vertices(K: Polytope, i: int, t):
     """(vertices of K_t, kept) for full-dimensional K with the bound of its
-    i-th facet shifted by t, kept telling whether K_t keeps every facet of
-    K; None when K_t is flat or empty.
+    i-th facet raised by t > 0, kept telling whether K_t keeps every facet.
 
-    Polar duality about a point c interior to K_t (de Berg et al.,
-    *Computational Geometry*, 3rd ed., section 11.4): the constraint
-    <z_j, x> <= b_j becomes the point z_j / (b_j - <z_j, c>). Constraint j
-    is a facet of K_t exactly when its point is a vertex of the hull of
-    all of them, and a facet {<a, y> = o} of that hull, scaled to integers
-    by s, gives the vertex c + a·s/o of K_t. c = p + lam·(g - p) lies on
-    the segment from K's lowest vertex p along z_i toward K's vertex
-    centroid g, at most halfway up to the moved bound, so it is interior to
-    both K and K_t.
+    Polar duality about K's vertex centroid c = C/q, C the sum of its m
+    vertex rows at scale s and q = m·s, interior to K ⊆ K_t (de Berg et
+    al., *Computational Geometry*, 3rd ed., section 11.4): constraint
+    <z_j, x> <= b_j becomes the point z_j / (b_j - <z_j, c>), and it is a
+    facet of K_t exactly when that point is a vertex of their hull. With
+    D = lcm(cd, q, den t), O_j = D·(b_j - <z_j, c>) (plus D·t at j = i) and
+    L = lcm(O), the points are the integer rows z_j·(L/O_j), and a facet
+    {<a, Y> = e} of their hull gives the vertex C/q + a·L/(e·D).
     """
-    z = K.facets[i].normal
     rows, s = K.ints
-    p = tuple(Fraction(a, s) for a in min(rows, key=lambda row: dot(z, row)))
-    low = dot(z, p)
-    room = K.facets[i].offset + t - low
-    if room <= 0:
-        return None
-    g = interior_point(K)
-    lam = min(Fraction(1), room / (2 * (dot(z, g) - low)))
-    c = tuple(a + lam * (b - a) for a, b in zip(p, g))
-    dual = []
-    for j, f in enumerate(K.facets):
-        o = f.offset - dot(f.normal, c) + (t if j == i else 0)
-        dual.append(tuple(x / o for x in f.normal))
-    scaled, s = scale_to_int(dual)
-    hd = hull_int(scaled, K.dim)
-    verts = [
-        tuple(ci + Fraction(a * s, hf.offset) for ci, a in zip(c, hf.normal))
-        for hf in hd.facets
-    ]
-    return verts, len(hd.vertex_indices) == len(dual)
+    frows, cd, _ = K.facet_ints
+    C = [sum(col) for col in zip(*rows)]
+    q = len(rows) * s
+    D = lcm(cd, q, t.denominator)
+    O = [c * (D // cd) - dot(z, C) * (D // q) for z, c, _, _ in frows]
+    O[i] += t.numerator * (D // t.denominator)
+    L = lcm(*O)
+    dual = [tuple(x * (L // o) for x in row[0]) for row, o in zip(frows, O)]
+    hd = hull_int(dual, K.dim)
+    verts = [tuple(Fraction(ci * D * hf.offset + a * L * q, q * D * hf.offset)
+                   for ci, a in zip(C, hf.normal)) for hf in hd.facets]
+    return verts, len(hd.vertex_indices) == len(frows)
 
 
 def safe_move_range(K: Polytope, facet_index: int):
@@ -199,18 +199,17 @@ def safe_move_range(K: Polytope, facet_index: int):
       (n-1)-dimensional iff the open side meets F_j. No hull is needed.
     - T_max is the supremum of <z_i, x> over K without constraint i, minus
       h_i. For t > 0, K ⊂ K_t, so F_j(K) ⊂ F_j(K_t) for every j != i, and
-      only facet i can vanish. One hull of K_w decides it: if facet i
+      only facet i can vanish. One dual hull of K_w decides it: if facet i
       survives there, t_max = w; otherwise K_w is K without constraint i,
       and T_max is the largest <z_i, v> over its vertices, minus h_i.
     """
-    facets = facet_structure(K)
-    if not 0 <= facet_index < len(facets):
-        raise BadParams(f"facet index {facet_index} out of range")
-    z, h = facets[facet_index].normal, facets[facet_index].offset
+    frows, cd, _ = _facet_ints(K, facet_index)
+    z, c, _, _ = frows[facet_index]
+    h = Fraction(c, cd)
     rows, s = K.ints
     w = h - Fraction(min(dot(z, row) for row in rows), s)
-    others = (f for j, f in enumerate(facets) if j != facet_index)
-    lowest = max(min(dot(z, rows[k]) for k in f.vertices) for f in others)
+    others = (inc for j, (_, _, inc, _) in enumerate(frows) if j != facet_index)
+    lowest = max(min(dot(z, rows[k]) for k in inc) for inc in others)
     floor = Fraction(lowest, s) - h
     t_min = -w / 2
     while t_min <= floor:
@@ -225,19 +224,25 @@ def safe_move_range(K: Polytope, facet_index: int):
 
 
 def move_facet(K: Polytope, spec: MoveSpec) -> Polytope:
-    """K_{t,i}: K with the i-th facet bound shifted by t. Raises
-    RangeViolation unless K_t keeps every facet normal of K (every t in
-    safe_move_range(K, i) does), and BadParams for i outside 0..F-1."""
+    """K_{t,i}: K with the i-th facet bound shifted by t; the clip
+    K ∩ {<z_i, x> <= h_i + t} for t <= 0, the hull of _moved_vertices for
+    t > 0. K_t is an intersection of K's halfspaces, so it keeps every
+    facet normal of K iff it is full-dimensional with as many facets.
+    Raises RangeViolation unless it does (every t in safe_move_range(K, i)
+    does), DegenerateInput for a flat K and BadParams for i outside 0..F-1."""
     i = spec.facet_index
-    if not 0 <= i < len(facet_structure(K)):
-        raise BadParams(f"facet index {i} out of range")
+    frows, cd, _ = _facet_ints(K, i)
     t = Fraction(spec.t)
-    moved = _moved_vertices(K, i, t)
-    if moved is None or not moved[1]:
+    if t > 0:
+        Kt = _from_points(_moved_vertices(K, i, t)[0], K.dim)
+    else:
+        z, c, _, _ = frows[i]
+        Kt = clip_halfspace(K, Halfspace(z, Fraction(c, cd) + t))
+    if not Kt.is_full_dimensional or len(Kt.facet_ints[0]) != len(frows):
         raise RangeViolation(
             f"moving facet {i} by t={t} loses a facet or flattens or empties K"
         )
-    return _from_points(moved[0], K.dim)
+    return Kt
 
 
 def cap_cut(K: Polytope, z, eps) -> Polytope:
@@ -373,16 +378,19 @@ def simplex_audit(K: Polytope) -> AuditReport:
     facet i is proportional iff [h | Z | e_i] has rank n + 1 too, for
     every t in the safe range alike. Then S(K_t) = lambda^(n-1)·S(K), and
     lambda = 1 + t·w_i/(n·V) with w_i facet i's weight and V = vol K, by
-    the first variation V(K_t,K[n-1]) = V + t·w_i/n = lambda·V."""
+    the first variation V(K_t,K[n-1]) = V + t·w_i/n = lambda·V. The rank
+    test and lambda read K's integer facet rows and volume numerator."""
     n = K.dim
-    facets = facet_structure(K)
+    frows, _, wd = _facet_ints(K)
+    v, vd = K.volume_ints
     records = []
-    for i, fi in enumerate(facets):
+    for i, (_, _, _, w) in enumerate(frows):
         t = safe_move_range(K, i)[1] / 2
-        rows = [(f.offset, *f.normal, int(j == i)) for j, f in enumerate(facets)]
+        # integer offsets c_j = cd·h_j: a column scaled by cd > 0 keeps the rank
+        rows = [(c, *z, int(j == i)) for j, (z, c, _, _) in enumerate(frows)]
         scale = None
         if rank(rows) == n + 1:
-            scale = (1 + t * fi.normalized_volume / (n * K.volume)) ** (n - 1)
+            scale = (1 + t * Fraction(w * vd, n * v * wd)) ** (n - 1)
         records.append(FacetAuditRecord(i, t, scale is not None, scale))
     verdict = "simplex" if all(r.proportional for r in records) else "non-simplex"
     count = len(K.ints[0])
@@ -392,7 +400,7 @@ def simplex_audit(K: Polytope) -> AuditReport:
 
 
 def _canon_direction(d):
-    d = primitive_from_rational(d)
+    d = primitive(d)
     for c in d:
         if c:
             return d if c > 0 else tuple(-x for x in d)
@@ -445,7 +453,7 @@ def counterexample_search(K: Polytope, budget: int) -> BezoutCertificate:
 
         # (b) facet-move pairs at +-half of the safe ranges
         moved = []
-        for i in range(len(facet_structure(K))):
+        for i in range(len(K.facet_ints[0])):
             t_min, t_max = safe_move_range(K, i)
             moved.append(move_facet(K, MoveSpec(i, t_max / 2)))
             moved.append(move_facet(K, MoveSpec(i, t_min / 2)))
@@ -470,17 +478,12 @@ def facet_move_linearity_check(
     whenever P's facet normals all occur among K's (checked)."""
     t = Fraction(t)
     n = K.dim
-    facets = facet_structure(K)
-    if not 0 <= facet_index < len(facets):
-        raise BadParams(f"facet index {facet_index} out of range")
-    z = facets[facet_index].normal
-    norms_K = {f.normal for f in facets}
+    frows = _facet_ints(K, facet_index)[0]
+    z = frows[facet_index][0]
     facets_P = facet_structure(P)
-    if not {f.normal for f in facets_P} <= norms_K:
+    if not {f.normal for f in facets_P} <= {row[0] for row in frows}:
         raise BadParams("P has facet normals outside K's fan")
-    wP = next(
-        (f.normalized_volume for f in facets_P if f.normal == z), Fraction(0)
-    )
+    wP = next((f.normalized_volume for f in facets_P if f.normal == z), Fraction(0))
     Kt = move_facet(K, MoveSpec(facet_index, t))
     base = [P] * (n - 1)
     return (

@@ -88,12 +88,8 @@ def primitive(v):
 
 def primitive_from_rational(v):
     """Primitive integer vector with the same direction as a rational vector."""
-    denoms = [Fraction(x).denominator for x in v]
-    m = 1
-    for d in denoms:
-        m = m * d // gcd(m, d)
-    ints = [int(x * m) for x in v]
-    return primitive(ints)
+    (row,), _ = scale_to_int([v])
+    return primitive(row)
 
 
 def _eliminate(rows, ncols) -> tuple[list[int], list[list[int]]]:

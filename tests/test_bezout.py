@@ -239,9 +239,12 @@ def _width(K, i):
 
 
 def _keeps(K, i, t):
-    """True iff _moved_vertices finds that K_t keeps every facet of K."""
-    moved = _moved_vertices(K, i, t)
-    return moved is not None and moved[1]
+    """True iff move_facet accepts K_t, that is, K_t keeps every facet of K."""
+    try:
+        move_facet(K, MoveSpec(i, t))
+    except RangeViolation:
+        return False
+    return True
 
 
 def _move_bodies():
@@ -267,7 +270,7 @@ def test_shift_facet_matches_brute_force():
         normals = {f.normal for f in facet_structure(K)}
         for i in range(len(facet_structure(K))):
             t_min, t_max = safe_move_range(K, i)
-            for t in (t_max, t_max / 2, t_min, t_min / 2):
+            for t in (t_max, t_max / 2, 0, t_min, t_min / 2):
                 Kt = move_facet(K, MoveSpec(i, t))
                 ref = _brute_shift(K, i, t)
                 assert Kt == ref, (K, i, t)
@@ -277,7 +280,7 @@ def test_shift_facet_matches_brute_force():
 
 def test_shift_facet_centroid_outside():
     # at t_min = -w/2 the centroid of simplex(2) lies beyond the moved
-    # bound, so the dual centre moves from the centroid toward w
+    # bound; an inward move is a clip of K, which needs no interior point
     K = simplex(2)
     g = interior_point(K)
     for i, f in enumerate(facet_structure(K)):
@@ -293,9 +296,11 @@ def test_shift_facet_flat_and_empty():
     for K in (simplex(2), cube(3), cross_polytope(3)):
         for i in range(len(facet_structure(K))):
             w = _width(K, i)
-            assert _moved_vertices(K, i, -w) is None
+            with pytest.raises(RangeViolation):
+                move_facet(K, MoveSpec(i, -w))
             assert _brute_shift(K, i, -w).adim < K.dim
-            assert _moved_vertices(K, i, -2 * w) is None
+            with pytest.raises(RangeViolation):
+                move_facet(K, MoveSpec(i, -2 * w))
             with pytest.raises(EmptyIntersection):
                 _brute_shift(K, i, -2 * w)
 
@@ -333,6 +338,37 @@ def test_safe_move_range_ladder():
                 assert (t_min, t_max) == (-w / 2, w)
                 for t in (-3 * w / 4, 4 * w):
                     assert _keeps(K, i, t)
+
+
+def test_move_facet_dual_hull_only_outward(monkeypatch):
+    # an inward move is a clip of K and takes no dual hull; an outward move
+    # takes exactly one
+    hulls, hull = [], bezout.hull_int
+    monkeypatch.setattr(bezout, "hull_int", lambda *a: hulls.append(a) or hull(*a))
+    for K in _move_bodies():
+        for i in range(len(K.facet_ints[0])):
+            t_min, t_max = safe_move_range(K, i)
+            before = len(hulls)
+            move_facet(K, MoveSpec(i, t_min / 2))
+            assert len(hulls) == before
+            move_facet(K, MoveSpec(i, t_max / 2))
+            assert len(hulls) == before + 1
+
+
+def test_facet_moves_refuse_flat_bodies():
+    # a flat body has no facet rows; that is DegenerateInput, never a bad
+    # facet index
+    flat = (seg((0, 0), (1, 2), 2),
+            convex_hull([(0, 0, 0), (1, 0, 0), (0, 1, 0)], 3, allow_lower=True))
+    for K in flat:
+        assert K.facet_ints == ((), 1, 1)
+        with pytest.raises(DegenerateInput):
+            safe_move_range(K, 0)
+        for t in (F(1, 2), F(-1, 2)):
+            with pytest.raises(DegenerateInput):
+                move_facet(K, MoveSpec(0, t))
+        with pytest.raises(DegenerateInput):
+            simplex_audit(K)
 
 
 def _reference_ladder(K, i, start):

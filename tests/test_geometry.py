@@ -10,7 +10,13 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from conftest import rand_body, rand_full_body
-from mvlab.bezout import MoveSpec, bezout_gap, move_facet
+from mvlab.bezout import (
+    MoveSpec,
+    bezout_gap,
+    move_facet,
+    safe_move_range,
+    simplex_audit,
+)
 from mvlab.errors import (
     BadParams,
     DegenerateInput,
@@ -506,9 +512,10 @@ def test_facet_and_volume_views_match_fraction_formula(n):
 
 
 def test_facet_and_volume_views_built_only_when_read():
-    """The gap reads the integer facet data of L, M and K alone; views given
-    to the constructor come back as given; pickle and deepcopy carry the
-    integers, so neither copy nor original gets a view built."""
+    """The gap, the safe move range, facet moves of either sign and the
+    simplex audit read the integer facet data of their bodies alone; views
+    given to the constructor come back as given; pickle and deepcopy carry
+    the integers, so neither copy nor original gets a view built."""
     n = 3
     simplex = [(0, 0, 0), (1, F(1, 2), 0), (0, F(2, 3), 1), (F(1, 3), 0, 2)]
     cases = [
@@ -521,6 +528,15 @@ def test_facet_and_volume_views_built_only_when_read():
         K = convex_hull(kp, n)
         bezout_gap(L, M, K)
         for P in (L, M, K):
+            assert P._facets is None and P._volume is None
+    for body in (simplex, cases[1][2]):
+        K = convex_hull(body, n)
+        moved = []
+        for i in range(len(K.facet_ints[0])):
+            t_min, t_max = safe_move_range(K, i)
+            moved += [move_facet(K, MoveSpec(i, t)) for t in (t_min / 2, t_max / 2)]
+        simplex_audit(K)
+        for P in [K] + moved:
             assert P._facets is None and P._volume is None
     K = convex_hull(simplex, n)
     facets, volume = K.facets, K.volume
