@@ -15,6 +15,8 @@ from fractions import Fraction
 from .errors import BadParams
 from .geometry import DIM_CAP, Halfspace, Polytope, clip_halfspace, convex_hull
 
+POINT_CAP = 1024  # m for random_hull and regular_polygon, checked before any point
+
 
 def _check_dim(n):
     if not isinstance(n, int) or not 1 <= n <= DIM_CAP:
@@ -51,8 +53,6 @@ def cube(n: int) -> Polytope:
 def cross_polytope(n: int) -> Polytope:
     """conv{+-e_1, ..., +-e_n}."""
     _check_dim(n)
-    if n == 1:
-        return convex_hull([[-1], [1]], 1)
     pts = []
     for i in range(n):
         for s in (1, -1):
@@ -86,10 +86,11 @@ def random_points(rng: random.Random, n: int, count: int, span: int, max_den: in
 
 
 def random_hull(n: int, m: int, seed: int) -> Polytope:
-    """Hull of m seeded random rational points, redrawn until full-dimensional."""
+    """Hull of m seeded random rational points, n + 1 <= m <= POINT_CAP,
+    redrawn until full-dimensional."""
     _check_dim(n)
-    if _count(m, "point count") < n + 1:
-        raise BadParams(f"need at least {n + 1} points, got {m}")
+    if not n + 1 <= _count(m, "point count") <= POINT_CAP:
+        raise BadParams(f"point count {m} outside {n + 1}..{POINT_CAP}")
     _count(seed, "seed")
     rng = random.Random(f"mvlab-gen:{n}:{m}:{seed}")
     for _ in range(64):
@@ -101,9 +102,10 @@ def random_hull(n: int, m: int, seed: int) -> Polytope:
 
 
 def regular_polygon(m: int, max_denominator: int) -> Polytope:
-    """m-gon with vertices rationally rounded from the unit circle."""
-    if _count(m, "vertex count") < 3:
-        raise BadParams("polygon needs at least 3 vertices")
+    """m-gon with vertices rationally rounded from the unit circle,
+    3 <= m <= POINT_CAP."""
+    if not 3 <= _count(m, "vertex count") <= POINT_CAP:
+        raise BadParams(f"vertex count {m} outside 3..{POINT_CAP}")
     max_denominator = _rational(max_denominator, "denominator cap")
     if max_denominator < 1:
         raise BadParams("denominator cap must be positive")

@@ -276,7 +276,7 @@ def vertex_enumeration(halfspaces, dim: int) -> Polytope:
             raise DimensionMismatch("halfspace normal length mismatch")
         u = primitive_from_rational(z)
         k = next(k for k, c in enumerate(z) if c)
-        b = Fraction(h.bound) * u[k] / z[k]  # u = z·(u[k]/z[k]), a positive factor
+        b = Fraction(h.bound) * u[k] / Fraction(z[k])  # u = z·(u[k]/z[k]), a positive factor
         if u not in tight or b < tight[u]:
             tight[u] = b
     normals = sorted(tight)
@@ -353,30 +353,14 @@ def face_in_direction(P: Polytope, z) -> Polytope:
 
 
 def minkowski_sum(P: Polytope, Q: Polytope) -> Polytope:
-    """P + Q from the pairwise sums of their vertex rows at scale lcm(sp, sq).
-    When one operand is a point q, the sum is the other body moved by q:
-    its rows shift, its facets keep their incidence and weights and its
-    volume stays, with each offset numerator moved by <z, q> over the
-    common denominator of the offsets and q, and no hull is built."""
+    """P + Q: the hull of the pairwise sums of their vertex rows at lcm(sp, sq)."""
     if P.dim != Q.dim:
         raise DimensionMismatch(f"dim {P.dim} vs {Q.dim}")
     if P.is_empty or Q.is_empty:
         return empty_polytope(P.dim)
-    if len(P.ints[0]) == 1:
-        P, Q = Q, P
     (rp, sp), (rq, sq) = P.ints, Q.ints
     s = lcm(sp, sq)
     a, b = s // sp, s // sq
-    if len(rq) == 1:
-        # translation keeps the lex order, so facet indices stay valid
-        q = rq[0]
-        rows = tuple(tuple(a * x + b * y for x, y in zip(p, q)) for p in rp)
-        frows, cd, wd = P.facet_ints
-        t = lcm(cd, sq)
-        ca, cq = t // cd, t // sq
-        frows = tuple((z, ca * c + cq * dot(z, q), inc, w) for z, c, inc, w in frows)
-        return Polytope(P.dim, P.adim, None, None, None, (rows, s),
-                        (frows, t, wd), P.volume_ints)
     pts = {
         tuple(a * x + b * y for x, y in zip(p, q))
         for p in rp
@@ -385,14 +369,39 @@ def minkowski_sum(P: Polytope, Q: Polytope) -> Polytope:
     return _from_int_points(pts, s, P.dim)
 
 
+def _homothety(P: Polytope, lam: Fraction, x) -> Polytope:
+    """The image of P under y -> lam·y + x, for rational lam > 0 and an
+    exact point x, in integers and with no hull; lam > 0 keeps the lex
+    order, so the facet incidence stays. With lam = num/den and x = X/t, a
+    row r over s maps to num·r/(s·den) + X/t and an offset c over cd to
+    num·c/(cd·den) + <z, X>/t, each over the lcm of its two denominators;
+    the weights scale by lam^(n-1) and the volume by lam^n."""
+    num, den = lam.numerator, lam.denominator
+    (X,), t = scale_to_int([x])
+    rows, s = P.ints
+    S = lcm(s * den, t)
+    a, b = num * (S // (s * den)), S // t
+    ints = (tuple(tuple(a * c + b * y for c, y in zip(row, X)) for row in rows), S)
+    facet_ints, volume_ints = P.facet_ints, P.volume_ints
+    if P.is_full_dimensional:
+        n = P.dim
+        frows, cd, wd = facet_ints
+        T = lcm(cd * den, t)
+        a, b, wn = num * (T // (cd * den)), T // t, num ** (n - 1)
+        frows = tuple((z, a * c + b * dot(z, X), inc, wn * w) for z, c, inc, w in frows)
+        facet_ints = (frows, T, wd * den ** (n - 1))
+        v, vd = volume_ints
+        volume_ints = (v * num**n, vd * den**n)
+    return Polytope(P.dim, P.adim, None, None, None, ints, facet_ints, volume_ints)
+
+
 def translate(P: Polytope, x) -> Polytope:
-    """P moved by x: its sum with the one-point body at x."""
-    point = Polytope(P.dim, 0, (_as_point(x, P.dim),), (), Fraction(0))
-    return minkowski_sum(P, point)
+    """P moved by x, with no hull (_homothety at lam = 1)."""
+    return _homothety(P, Fraction(1), _as_point(x, P.dim))
 
 
 def dilate(P: Polytope, lam) -> Polytope:
-    """Scale about the origin by a rational factor lam >= 0."""
+    """Scale about the origin by a rational lam >= 0, with no hull."""
     lam = Fraction(lam)
     if lam < 0:
         raise BadParams("dilation factor must be nonnegative")
@@ -401,21 +410,7 @@ def dilate(P: Polytope, lam) -> Polytope:
     if lam == 0:
         return Polytope(P.dim, 0, None, None, None, (((0,) * P.dim,), 1),
                         _NO_FACETS, (0, 1))
-    # lam > 0 keeps the lex order: numerator on the rows, denominator on s;
-    # offsets scale by lam, weights by lam^(n-1) and the volume by lam^n
-    num, den = lam.numerator, lam.denominator
-    rows, s = P.ints
-    ints = (tuple(tuple(num * c for c in row) for row in rows), s * den)
-    facet_ints, volume_ints = P.facet_ints, P.volume_ints
-    if P.is_full_dimensional:
-        n = P.dim
-        frows, cd, wd = facet_ints
-        wn = num ** (n - 1)
-        frows = tuple((z, num * c, inc, wn * w) for z, c, inc, w in frows)
-        facet_ints = (frows, cd * den, wd * den ** (n - 1))
-        v, vd = volume_ints
-        volume_ints = (v * num**n, vd * den**n)
-    return Polytope(P.dim, P.adim, None, None, None, ints, facet_ints, volume_ints)
+    return _homothety(P, lam, (0,) * P.dim)
 
 
 def clip_halfspace(P: Polytope, h: Halfspace) -> Polytope:
@@ -428,7 +423,8 @@ def clip_halfspace(P: Polytope, h: Halfspace) -> Polytope:
     incidence, so every such chord is crossed: each lies in P, so its
     crossing is in the clip, and the hull drops the interior ones. The
     sides are integer signs on P's rows, and only the kept rows and the
-    crossings become Fraction points.
+    crossings become Fraction points. A P inside h takes the same path and
+    comes back as an equal body; an empty P comes back as itself.
     """
     z, b = h.normal, h.bound
     if len(z) != P.dim:
@@ -441,8 +437,6 @@ def clip_halfspace(P: Polytope, h: Halfspace) -> Polytope:
     bs = Fraction(b) * s
     # w[i] > 0 iff row i / s is beyond the hyperplane: <row_i, z> > b·s
     w = [bs.denominator * dot(z, row) - bs.numerator for row in rows]
-    if all(x <= 0 for x in w):
-        return P
     pts = {tuple(Fraction(c, s) for c in row) for row, x in zip(rows, w) if x <= 0}
     if not pts:
         return empty_polytope(P.dim)

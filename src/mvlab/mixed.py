@@ -22,15 +22,15 @@ gives vol_n(K + s·[0,v]) = vol_n(K) + s·|v_k|·vol_{n-1}(QK), and polarizing
 gives V([0,v], K_2,...,K_n) = (|v_k|/n)·V(QK_2,...,QK_n).
 
 The gap and search code in bezout.py uses a third, private evaluator that
-takes exact shortcuts (equal slots, a point slot, the first-variation sum
-over a body's own facets, projection along a segment slot, and Minkowski's
-polynomial in s for V(L, M, K[n-2]), whose values at s = 1, 2, ... are
-first-variation sums over M + sK) and falls back to polarization; see
-_mixed_volume_fast. Each first-variation sum runs in integers, on L's
-vertex rows and the numerators of K's facet weights over their stored
-common denominator, and makes one Fraction. Polarization likewise sums the
-bodies' volume numerators over one common denominator, so neither
-evaluator builds a body's Fraction facets or volume.
+takes exact shortcuts (equal slots, the first-variation sum over a body's
+own facets, projection along a segment slot, and Minkowski's polynomial in
+s for V(L, M, K[n-2]), whose values at s = 1, 2, ... are first-variation
+sums over M + sK) and falls back to polarization; see _mixed_volume_fast.
+Each first-variation sum runs in integers, on L's vertex rows and the
+numerators of K's facet weights over their stored common denominator, and
+makes one Fraction. Polarization likewise sums the bodies' volume
+numerators over one common denominator, so neither evaluator builds a
+body's Fraction facets or volume.
 
 Weight convention: a stored atom weight w(z) at a primitive integer normal
 z encodes true-measure(z/||z||) = w(z)·||z||, which keeps every stored value
@@ -63,7 +63,7 @@ from .geometry import (
     project_along,
     support_value,
 )
-from .linalg import cross_rows, dot, primitive_from_rational, rref, solve, vsub
+from .linalg import _eliminate, cross_rows, dot, primitive, solve, vsub
 
 
 @dataclass(frozen=True)
@@ -164,8 +164,6 @@ def _mixed_volume_fast(bodies) -> Fraction:
     (Schneider, Convex Bodies, 2nd ed., section 5.1):
 
     - all slots equal: V(K,...,K) = vol K;
-    - a point slot: mixed volumes are translation invariant and monotone,
-      so the value is 0;
     - n-1 copies of a full-dimensional K: the first-variation formula
       V(L,K[n-1]) = (1/n)·sum over K's facets of h_L(z)·w(z);
     - a segment slot: projection along it, recursing in dimension n-1;
@@ -176,6 +174,10 @@ def _mixed_volume_fast(bodies) -> Fraction:
       solved for exactly (see _minkowski_coefficient);
     - otherwise polarization.
 
+    A point slot needs no shortcut: every path gives exactly 0, a
+    first-variation sum by Minkowski's relation (sum of w(z)·z over K's
+    facets is 0) and polarization because a translate keeps the volume.
+
     Only the gap and search code uses it; public mixed_volume stays the
     polarization oracle.
     """
@@ -183,8 +185,6 @@ def _mixed_volume_fast(bodies) -> Fraction:
     first = bodies[0]
     if all(b == first for b in bodies):
         return Fraction(*first.volume_ints)
-    if any(b.adim == 0 for b in bodies):
-        return Fraction(0)
     for K in bodies:
         if K.is_full_dimensional and sum(b == K for b in bodies) == n - 1:
             return _first_variation(next(b for b in bodies if b != K), K)
@@ -256,12 +256,12 @@ def surface_area_measure(P: Polytope) -> DiscreteMeasure:
 
 
 def _flat_normal(P: Polytope):
-    """Primitive normal of the affine hull of an (n-1)-dimensional P."""
+    """Primitive normal of the affine hull of an (n-1)-dimensional P: the
+    cross product of the n-1 pivot rows that integer elimination leaves of
+    its vertex row differences."""
     base, *rest = P.ints[0]
-    diffs = [vsub(v, base) for v in rest]
-    _, rows = rref(diffs)
-    basis = [tuple(r) for r in rows if any(r)]
-    return primitive_from_rational(cross_rows(basis))
+    pivots, rows = _eliminate([vsub(v, base) for v in rest], P.dim)
+    return primitive(cross_rows(rows[: len(pivots)]))
 
 
 def mixed_area_measure(bodies) -> DiscreteMeasure:

@@ -145,6 +145,10 @@ def test_gap_errors():
         bezout_gap_general([sq], sq, 2)
     with pytest.raises(BadArity):
         bezout_gap_general([sq, sq], sq, 5)
+    with pytest.raises(DegenerateInput):
+        bezout_gap_general([sq, sq], seg((0, 0), (1, 0), 2), 2)
+    with pytest.raises(DimensionMismatch):
+        bezout_gap_general([sq, cube(3)], sq, 2)
     unit = cube(1)
     with pytest.raises(DimensionLimit):
         bezout_gap(unit, unit, unit)
@@ -490,6 +494,8 @@ def test_support_drop_set():
     sq = cube(2)
     assert support_drop_set(sq, cap_cut(sq, (1, 1), F(1, 5))) == ()
     assert support_drop_set(sq, cap_cut(sq, (1, 0), F(1, 5))) == ((1, 0),)
+    with pytest.raises(DegenerateInput):
+        support_drop_set(seg((0, 0), (1, 0), 2), sq)
 
 
 def _scanned_drop_set(K, M):
@@ -561,6 +567,10 @@ def test_homothety_check():
     assert homothety_check(sq, P) == F(5, 2)
     rect = convex_hull([(0, 0), (2, 0), (0, 1), (2, 1)], 2)
     assert homothety_check(sq, rect) is None
+    with pytest.raises(DimensionMismatch):
+        homothety_check(sq, cube(3))
+    with pytest.raises(DegenerateInput):
+        homothety_check(sq, seg((0, 0), (1, 0), 2))
 
 
 def test_homothety_iff_proportional_random():

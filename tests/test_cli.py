@@ -417,6 +417,8 @@ def test_bad_gen_spec(capsys):
         "random_hull:2,3,x",
         "random_hull:2,3,1/2",
         "random_hull:2,3,1.5",
+        "random_hull:2,1000000000,0",
+        "regular_polygon:1000000000,100",
         ":3",
     ):
         code, rep = run_json(capsys, ["mv", "--gen", spec])

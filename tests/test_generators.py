@@ -5,6 +5,7 @@ import pytest
 from mvlab.documents import document_digest, serialize_polytope
 from mvlab.errors import BadParams
 from mvlab.generators import (
+    POINT_CAP,
     ball_approx_3d,
     cross_polytope,
     cube,
@@ -44,6 +45,7 @@ def test_cross_polytope():
         x = cross_polytope(n)
         assert len(x.vertices) == 2 * n
         assert x.volume == F(2**n, __import__("math").factorial(n))
+    assert cross_polytope(1) == convex_hull([(-1,), (1,)], 1)
 
 
 def test_prism():
@@ -78,6 +80,11 @@ def test_random_hull_deterministic():
     assert random_hull(2, 6, 8) != a
     with pytest.raises(BadParams):
         random_hull(2, 2, 0)
+    # the count is checked before any point is drawn
+    assert len(random_hull(2, POINT_CAP, 0).vertices) >= 3
+    for m in (POINT_CAP + 1, 10**9):
+        with pytest.raises(BadParams):
+            random_hull(2, m, 0)
 
 
 def test_regular_polygon():
@@ -88,6 +95,9 @@ def test_regular_polygon():
     assert max(c.denominator for v in g.vertices for c in v) <= 10**6
     with pytest.raises(BadParams):
         regular_polygon(2, 100)
+    for m in (POINT_CAP + 1, 10**9):
+        with pytest.raises(BadParams):
+            regular_polygon(m, 100)
     with pytest.raises(BadParams):
         regular_polygon(8, 0)
 

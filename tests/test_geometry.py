@@ -10,6 +10,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from conftest import rand_body, rand_full_body
+from mvlab import geometry
 from mvlab.bezout import (
     MoveSpec,
     bezout_gap,
@@ -75,6 +76,10 @@ def test_hull_drops_interior_and_duplicate_points():
 def test_hull_degenerate_without_flag():
     with pytest.raises(DegenerateInput):
         convex_hull([(0, 0), (1, 1), (2, 2)], 2)
+    with pytest.raises(DegenerateInput):
+        convex_hull([], 2)
+    with pytest.raises(DegenerateInput):
+        facet_structure(convex_hull([(0, 0), (1, 1)], 2, allow_lower=True))
 
 
 def test_hull_lower_dimensional():
@@ -173,11 +178,18 @@ def test_vertex_enumeration_rational_normals():
     hs[0] = Halfspace((F(1, 2), 0), 1)
     wide = convex_hull([(0, 0), (2, 0), (0, 1), (2, 1)], 2)
     assert vertex_enumeration(hs, 2) == wide
+    # a float normal is made exact, its bound scaled by the same factor
+    hs[0] = Halfspace((1.0, 0), 1)
+    assert vertex_enumeration(hs, 2) == square()
+    hs[0] = Halfspace((0.5, 0), 1)
+    assert vertex_enumeration(hs, 2) == wide
 
 
 def test_vertex_enumeration_unbounded():
     with pytest.raises(Unbounded):
         vertex_enumeration([Halfspace((1, 0), 1), Halfspace((0, 1), 1)], 2)
+    with pytest.raises(Unbounded):
+        vertex_enumeration([], 2)
     # more than n normals, but of rank 2 < 3: the x_3 axis is free
     slab = [Halfspace(z, 1) for z in ((1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0))]
     with pytest.raises(Unbounded):
@@ -199,6 +211,17 @@ def test_vertex_enumeration_halfspace_cap():
         vertex_enumeration(hs, 2)
 
 
+@pytest.mark.parametrize("hs, dim, error", [
+    ([Halfspace((1,), 1), Halfspace((-1,), 0)], 0, DimensionLimit),
+    ([Halfspace((1,) * 5, 1)], 5, DimensionLimit),
+    ([Halfspace((1, 0), 1), Halfspace((0, 0), 1)], 2, ZeroVector),
+    ([Halfspace((1, 0), 1), Halfspace((0, 1, 0), 1)], 2, DimensionMismatch),
+], ids=["dim_0", "dim_5", "zero_normal", "normal_length"])
+def test_vertex_enumeration_input_guards(hs, dim, error):
+    with pytest.raises(error):
+        vertex_enumeration(hs, dim)
+
+
 # ---------------------------------------------------------------- support & faces
 
 
@@ -209,6 +232,8 @@ def test_support_values():
     assert support_value(sq, (3, -2)) == 3
     with pytest.raises(ZeroVector):
         support_value(sq, (0, 0))
+    with pytest.raises(DegenerateInput):
+        support_value(empty_polytope(2), (1, 0))
     # a short or long direction used to be truncated to the body's length
     for z in ((1,), (1, 0, 5)):
         with pytest.raises(DimensionMismatch):
@@ -250,6 +275,23 @@ def test_translate_dilate():
     assert o.adim == 0 and o.vertices == ((F(0), F(0)),)
     with pytest.raises(BadParams):
         dilate(sq, -1)
+    with pytest.raises(DimensionMismatch):
+        translate(sq, (1, 0, 0))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_translate_dilate_build_no_hull(n, monkeypatch):
+    """translate and dilate map a body's integers without a hull, for
+    full, lower-dimensional, point and empty bodies alike."""
+    bodies = _view_bodies(n)[:3] + [empty_polytope(n)]
+    calls = []
+    monkeypatch.setattr(geometry, "hull_int",
+                        lambda *args: calls.append(args) or hull_int(*args))
+    for P in bodies:
+        moved = [translate(P, (F(1, 3),) * n), dilate(P, F(5, 3)), dilate(P, 7)]
+        assert [Q.adim for Q in moved] == [P.adim] * 3
+        assert dilate(P, 0).adim == min(P.adim, 0)
+    assert calls == []
 
 
 def test_interior_and_contains():
@@ -263,6 +305,8 @@ def test_interior_and_contains():
     assert not contains_point(seg, (3, 3))  # on its line, beyond an end
     assert not contains_point(seg, (1, 0))  # off its line
     assert not contains_point(empty_polytope(2), (0, 0))
+    with pytest.raises(DegenerateInput):
+        interior_point(empty_polytope(2))
 
 
 def test_vertex_adjacency_square():
@@ -308,6 +352,8 @@ def test_project_along_zero_direction():
         project_along(square(), (0, 0))
     with pytest.raises(DegenerateInput):
         project_along(empty_polytope(2), (1, 0))
+    with pytest.raises(DimensionMismatch):
+        project_along(square(), (1, 0, 0))
 
 
 # ---------------------------------------------------------------- integer rows
@@ -386,9 +432,9 @@ def test_integer_rows_reference_images():
 
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_minkowski_point_is_translation(n):
-    """A point operand moves the other body without a hull; the sum equals
-    the hull path's, facets, volume and integer rows included, in either
-    operand order, for full, lower-dimensional and point bodies."""
+    """A sum with a point, in either operand order, and the translate by
+    that point equal the hull of the moved rows, facets, volume and integer
+    rows included, for full, lower-dimensional and point bodies."""
     rng = random.Random(f"minkowski-point:{n}")
     for _ in range(3):
         q = convex_hull(random_points(rng, n, 1, 3, 3), n, allow_lower=True)
@@ -400,7 +446,8 @@ def test_minkowski_point_is_translation(n):
             a, b = s // sk, s // sq
             rows = [tuple(a * x + b * y for x, y in zip(r, rq[0])) for r in rk]
             ref = _from_int_points(rows, s, n)
-            for got in (minkowski_sum(K, q), minkowski_sum(q, K)):
+            for got in (minkowski_sum(K, q), minkowski_sum(q, K),
+                        translate(K, q.vertices[0])):
                 assert (got, got.adim, got.facets, got.volume, got.ints) == (
                     ref, ref.adim, ref.facets, ref.volume, ref.ints)
                 assert_rows(got)
@@ -426,6 +473,9 @@ def test_integer_rows_ignored_by_equality(build):
     for X in (pickle.loads(pickle.dumps(P)), copy.deepcopy(Q)):
         assert (X, X.adim, X.facets, X.volume) == (P, P.adim, P.facets, P.volume)
     assert P != Polytope(P.dim + 1, P.adim, None, P.facets, P.volume, P.ints)
+    assert P.__eq__(P.ints) is NotImplemented and P != P.ints
+    with pytest.raises(AttributeError):
+        P.adim = 0
     if rows:
         moved = (rows[:-1] + (tuple(c + 1 for c in rows[-1]),), s)
         assert P != Polytope(P.dim, P.adim, None, P.facets, P.volume, moved)

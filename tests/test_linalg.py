@@ -189,6 +189,7 @@ def test_fraction_free_rank_rref_match_reference(rows):
 def test_rank_rref_edge_shapes():
     assert rank([[0, 0, 0], [0, 0, 0]]) == 0
     assert rref([[0, 0], [0, 0]]) == ([], [])
+    assert rref([]) == ([], [])
     assert rank([[1, 2, 3], [1, 2, 3], [2, 4, 6]]) == 1
     assert rank([[Fraction(1, 3)], [Fraction(2, 3)], [0]]) == 1
     assert rref([[0, Fraction(1, 2), 1], [0, 1, 2]]) == ([1], [(0, 1, 2)])

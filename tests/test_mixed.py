@@ -30,6 +30,7 @@ from mvlab.geometry import (
     clip_halfspace,
     convex_hull,
     dilate,
+    empty_polytope,
     face_in_direction,
     minkowski_sum,
     project_along,
@@ -98,6 +99,12 @@ def test_arity_and_dimension_errors():
         mixed_volume([square(), cube3()])
     with pytest.raises(DimensionMismatch):
         mixed_volume_via_measure(cube3(), [square()])
+    with pytest.raises(BadArity):
+        mixed_volume([])
+    with pytest.raises(DegenerateInput):
+        mixed_volume([square(), empty_polytope(2)])
+    with pytest.raises(DimensionMismatch):
+        segment_mixed_volume((1, 0, 0), [square()])
 
 
 @pytest.mark.parametrize(
