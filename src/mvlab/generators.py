@@ -109,6 +109,7 @@ def regular_polygon(m: int, max_denominator: int) -> Polytope:
     max_denominator = _rational(max_denominator, "denominator cap")
     if max_denominator < 1:
         raise BadParams("denominator cap must be positive")
+    max_denominator = math.floor(max_denominator)  # int-only comparisons
     pts = []
     for k in range(m):
         angle = 2 * math.pi * k / m
@@ -137,6 +138,7 @@ def ball_approx_3d(subdivisions: int, max_denominator: int) -> Polytope:
     max_denominator = _rational(max_denominator, "denominator cap")
     if max_denominator < 1:
         raise BadParams("denominator cap must be positive")
+    max_denominator = math.floor(max_denominator)
     phi = (1 + math.sqrt(5)) / 2
     raw = [
         (-1, phi, 0), (1, phi, 0), (-1, -phi, 0), (1, -phi, 0),

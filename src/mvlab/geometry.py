@@ -285,23 +285,23 @@ def vertex_enumeration(halfspaces, dim: int) -> Polytope:
         raise Unbounded("constraint normals do not positively span R^n")
 
     D = lcm(*(b.denominator for b in tight.values()))
-    rows = [(z, tight[z].numerator * (D // tight[z].denominator)) for z in normals]
+    bound = {z: b.numerator * (D // b.denominator) for z, b in tight.items()}
+    # cross_rows once per (dim-1)-subset: <cross[a without j], a_j> is
+    # det(a) with row j moved last, dim-1-j row swaps away, so the cofactor
+    # of row j is (-1)^(dim-1-j) cross[a without j]
+    cross = {a: cross_rows(a) for a in combinations(normals, dim - 1)}
+    sign = [(-1) ** (dim - 1 - j) for j in range(dim)]
     candidates = set()
-    for subset in combinations(rows, dim):
-        a = [z for z, _ in subset]
-        # <cross_rows(rows without j), a_j> is det(a) with row j moved
-        # last, dim-1-j row swaps away
-        cof = [
-            tuple((-1) ** (dim - 1 - j) * c for c in cross_rows(a[:j] + a[j + 1 :]))
-            for j in range(dim)
-        ]
-        det = dot(cof[-1], a[-1])
+    for a in combinations(normals, dim):
+        det = dot(cross[a[:-1]], a[-1])
         if det == 0:
             continue
-        X = [sum(bj * C[i] for (_, bj), C in zip(subset, cof)) for i in range(dim)]
+        cof = [cross[a[:j] + a[j + 1 :]] for j in range(dim)]
+        sb = [e * bound[z] for e, z in zip(sign, a)]
+        X = [dot(sb, col) for col in zip(*cof)]
         if det < 0:
             det, X = -det, [-c for c in X]
-        if all(dot(z, X) <= bz * det for z, bz in rows):
+        if all(dot(z, X) <= bz * det for z, bz in bound.items()):
             candidates.add(tuple(Fraction(c, det * D) for c in X))
     if not candidates:
         raise EmptyIntersection("halfspace intersection is empty")
@@ -433,6 +433,9 @@ def clip_halfspace(P: Polytope, h: Halfspace) -> Polytope:
         raise ZeroVector("halfspace with zero normal")
     if P.is_empty:
         return P
+    if not all(type(c) is int for c in z):  # <x, t·z> <= t·b, t·z integer
+        (z,), t = scale_to_int([z])
+        b = Fraction(b) * t
     rows, s = P.ints
     bs = Fraction(b) * s
     # w[i] > 0 iff row i / s is beyond the hyperplane: <row_i, z> > b·s

@@ -18,11 +18,12 @@ outside set. The initial simplex is the search's d+1 vertices, and in 1D
 it is the whole hull. Every other point joins the outside set of the first
 simplex it lies strictly beyond, or is dropped: a point in the hull so far
 is not extreme. While a simplex G has a nonempty outside set, the point p
-that maximises <z_G, p> (lowest index on ties) over all points still in an
-outside set replaces the simplices it lies strictly beyond, the visible
-ones, by cones from p over the horizon ridges. So the boundary stays a
-placing triangulation (De Loera, Rambau & Santos, *Triangulations*, 2010,
-section 4.3.1), and every predicate is one exact integer sign:
+that maximises <z_G, p> over all points still in an outside set (the first
+maximum of one list of their heights in index order: the lowest index on
+ties) replaces the simplices it lies strictly beyond, the visible ones, by
+cones from p over the horizon ridges. So the boundary stays a placing
+triangulation (De Loera, Rambau & Santos, *Triangulations*, 2010, section
+4.3.1), and every predicate is one exact integer sign:
 
 (a) A horizon ridge r lies in aff(G) for a visible G, and p is not in
     aff(G), so conv(r + p) is never flat.
@@ -70,10 +71,12 @@ gcd(N)/(d-1)!, its vertices are its d points, and the volume is |det|/d!
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, count
+from itertools import chain, combinations, count
+from math import gcd
+from operator import mul
 
 from .errors import InternalCheckError
-from .linalg import _eliminate, cross_rows, dot, gcd_vec, vsub
+from .linalg import _eliminate, cross_rows, dot, vsub
 
 
 @dataclass(frozen=True)
@@ -131,7 +134,7 @@ def _simplex(pts, d) -> HullData | None:
     normals.insert(0, tuple(-sum(c) for c in zip(*normals)))
     facets = []
     for i, n in enumerate(normals):
-        g = gcd_vec(n)
+        g = gcd(*n)
         z = tuple(x // g for x in n)
         on = pts[1] if i == 0 else p0
         verts = tuple(j for j in range(d + 1) if j != i)
@@ -163,7 +166,7 @@ def _hull_2d(pts) -> HullData:
     for a, b in zip(ring, ring[1:] + ring[:1]):
         area2 += a[0] * b[1] - a[1] * b[0]
         ex, ey = b[0] - a[0], b[1] - a[1]
-        g = gcd_vec((ex, ey))
+        g = gcd(ex, ey)
         z = (ey // g, -ex // g)  # outward for a counterclockwise ring
         ends = tuple(sorted((index[a], index[b])))
         facets.append(HullFacet(z, dot(z, a), g, ends))
@@ -207,26 +210,27 @@ def _initial_simplex(pts, d):
         for e in combinations(_AXES[d], d - 1 - len(dirs)):
             u = cross_rows(dirs + list(e))
             h0 = dot(u, pts[0])
-            h, j = max((abs(dot(u, p) - h0), -i) for i, p in enumerate(pts))
+            heights = [abs(sum(map(mul, u, p)) - h0) for p in pts]
+            h = max(heights)
             if h:
                 break
         else:
             break
-        init.append(-j)
-        dirs.append(vsub(pts[-j], pts[0]))
+        init.append(heights.index(h))
+        dirs.append(vsub(pts[init[-1]], pts[0]))
     return init, dirs
 
 
 def _build(pts, d, init) -> HullData:
     cen_sum = tuple(sum(pts[i][k] for i in init) for k in range(d))
 
-    def make_facet(verts) -> _F:
-        base = pts[verts[0]]
-        n = cross_rows([vsub(pts[i], base) for i in verts[1:]])
+    def make_facet(verts, edges) -> _F:
+        # edges: the rows from pts[verts[-1]] to the other points of verts
+        n = cross_rows(edges)
         if not any(n):
             raise InternalCheckError("flat boundary simplex")
         # the centroid of the initial simplex stays strictly inside
-        offset = dot(n, base)
+        offset = dot(n, pts[verts[-1]])
         if dot(n, cen_sum) - (d + 1) * offset > 0:
             n, offset = tuple(-x for x in n), -offset
         return _F(verts, n, offset, [None] * d, [])
@@ -234,34 +238,40 @@ def _build(pts, d, init) -> HullData:
     def assign(ips, ks):
         # each point goes to the first simplex it is strictly beyond; one
         # beyond none lies in the hull so far and is not extreme
+        planes = [(facets[k].normal, facets[k].offset, facets[k].out) for k in ks]
         for ip in ips:
-            for k in ks:
-                if dot(facets[k].normal, pts[ip]) > facets[k].offset:
-                    facets[k].out.append(ip)
+            q = pts[ip]
+            for z, c, out in planes:
+                if sum(map(mul, z, q)) > c:
+                    out.append(ip)
                     break
             else:
                 outside.discard(ip)
 
     # simplex k omits init[k]; across its ridge without init[m] lies simplex m
-    facets = {k: make_facet(tuple(init[:k] + init[k + 1 :])) for k in range(d + 1)}
-    for f in facets.values():
-        f.nbrs = [init.index(v) for v in f.verts]
+    facets = {}
+    for k in range(d + 1):
+        verts = tuple(init[:k] + init[k + 1 :])
+        facets[k] = make_facet(verts, [vsub(pts[i], pts[verts[-1]]) for i in verts[:-1]])
+        facets[k].nbrs = [init.index(v) for v in verts]
     ids = count(d + 1)
     outside = set(range(len(pts))) - set(init)
     assign(sorted(outside), list(facets))
 
     # insert, of all points still outside, the one furthest along the
-    # normal of a simplex with a nonempty outside set: a vertex (fact d);
-    # the visible simplices form a ball (fact b): walk across ridges from
-    # this one; the horizon is the ridges between a visible and an
-    # invisible simplex
+    # normal of a simplex with a nonempty outside set, the lowest index
+    # among the furthest: a vertex (fact d); the visible simplices form a
+    # ball (fact b): walk across ridges from this one; the horizon is the
+    # ridges between a visible and an invisible simplex
     pending = [k for k, f in facets.items() if f.out]
     while pending:
         k = pending.pop()
         if k not in facets:
             continue
         z = facets[k].normal
-        ip = max(outside, key=lambda i: (dot(z, pts[i]), -i))
+        scan = sorted(outside)
+        heights = [sum(map(mul, z, pts[i])) for i in scan]
+        ip = scan[heights.index(max(heights))]
         outside.discard(ip)
         p = pts[ip]
         seen, stack, horizon = {k: True}, [k], []
@@ -269,18 +279,20 @@ def _build(pts, d, init) -> HullData:
             a = stack.pop()
             for j, b in enumerate(facets[a].nbrs):
                 if b not in seen:
-                    seen[b] = dot(facets[b].normal, p) > facets[b].offset
+                    fb = facets[b]
+                    seen[b] = sum(map(mul, fb.normal, p)) > fb.offset
                     if seen[b]:
                         stack.append(b)
                 if not seen[b]:
                     horizon.append((a, j, b))
-        # cone each horizon ridge to p; two new simplices meet on a ridge
-        # through p, keyed by its vertices other than p
+        # cone each horizon ridge to p, each edge row from p made once; two
+        # new simplices meet on a ridge through p, keyed by its other vertices
+        ridges = [facets[a].verts[:j] + facets[a].verts[j + 1 :] for a, j, _ in horizon]
+        edge = {v: vsub(pts[v], p) for v in set(chain.from_iterable(ridges))}
         new, glue = [], {}
-        for a, j, b in horizon:
-            ridge = facets[a].verts[:j] + facets[a].verts[j + 1 :]
+        for (a, _, b), ridge in zip(horizon, ridges):
             c = next(ids)
-            facets[c] = f = make_facet(ridge + (ip,))
+            facets[c] = f = make_facet(ridge + (ip,), [edge[v] for v in ridge])
             f.nbrs[-1] = b
             nb = facets[b].nbrs
             nb[nb.index(a)] = c
@@ -305,7 +317,7 @@ def _build(pts, d, init) -> HullData:
     groups: dict[tuple[tuple[int, ...], int], list] = {}
     for f in facets.values():
         vol_scaled += f.offset - dot(f.normal, apex)
-        g = gcd_vec(f.normal)
+        g = gcd(*f.normal)
         key = (tuple(x // g for x in f.normal), f.offset // g)
         groups.setdefault(key, []).append((f.verts, g))
 

@@ -4,7 +4,7 @@ Everything here is tuned for the tiny dense systems this package needs.
 cross_rows has closed forms up to R^4 (DIM_CAP), the hull engine's normals;
 det expands up to 3x3 explicitly and larger ones by cofactors. Gaussian
 elimination is fraction-free, and runs on integer rows without any
-denominator bookkeeping.
+denominator bookkeeping. The gcd of a vector v is math.gcd(*v).
 """
 
 from __future__ import annotations
@@ -71,16 +71,9 @@ def cross_rows(rows):
     )
 
 
-def gcd_vec(v) -> int:
-    g = 0
-    for x in v:
-        g = gcd(g, abs(x))
-    return g
-
-
 def primitive(v):
     """Scale an integer vector to coprime coordinates, keeping direction."""
-    g = gcd_vec(v)
+    g = gcd(*v)
     if g == 0:
         return tuple(v)
     return tuple(x // g for x in v)

@@ -2,6 +2,8 @@ from fractions import Fraction
 
 import pytest
 
+from mvlab import generators
+
 from mvlab.documents import document_digest, serialize_polytope
 from mvlab.errors import BadParams
 from mvlab.generators import (
@@ -100,6 +102,32 @@ def test_regular_polygon():
             regular_polygon(m, 100)
     with pytest.raises(BadParams):
         regular_polygon(8, 0)
+
+
+def _fraction_cap_rounding(cap):
+    """generators.Fraction with limit_denominator held to the Fraction cap,
+    whatever cap the generator passes: the rounding as it was before the
+    generators passed an int cap."""
+
+    class Rounding(Fraction):
+        def limit_denominator(self, max_denominator=None):
+            return Fraction.limit_denominator(self, Fraction(cap))
+
+    return Rounding
+
+
+@pytest.mark.parametrize("cap", [F(7, 2), 1000, 10**6])
+@pytest.mark.parametrize("build", [lambda cap: regular_polygon(64, cap),
+                                   lambda cap: ball_approx_3d(1, cap)],
+                         ids=["regular_polygon", "ball_approx_3d"])
+def test_int_cap_matches_fraction_cap(build, cap, monkeypatch):
+    # the convergents' denominators are integers, so an integer cap keeps
+    # every rounding
+    got = build(cap)
+    monkeypatch.setattr(generators, "Fraction", _fraction_cap_rounding(cap))
+    want = build(cap)
+    assert (got.ints, got.facet_ints, got.volume_ints) == (
+        want.ints, want.facet_ints, want.volume_ints)
 
 
 def test_regular_polygon_small():

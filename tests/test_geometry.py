@@ -49,7 +49,7 @@ from mvlab.geometry import (
     vertex_enumeration,
 )
 from mvlab.hull import hull_int
-from mvlab.linalg import dot, rank
+from mvlab.linalg import cross_rows, dot, primitive_from_rational, rank
 
 F = Fraction
 
@@ -152,6 +152,21 @@ def test_clip_ge_sense():
     assert min(v[1] for v in upper.vertices) == F(1, 2)
 
 
+@pytest.mark.parametrize("P, z, b", [
+    (cube(2), (1.0, 0), F(1, 2)),
+    (cube(2), (0.5, -0.25), F(1, 8)),
+    (cube(3), (1, 0.0, -1.5), 0.25),
+    (cross_polytope(4), (0.5, 0.5, 0, -2.0), F(1, 3)),
+], ids=["square", "square_halves", "cube3", "cross4"])
+def test_clip_float_normal_matches_fraction_normal(P, z, b):
+    # a float normal is made exact before the side values are formed, so
+    # it cuts the body its Fraction value cuts
+    Q = clip_halfspace(P, Halfspace(z, b))
+    R = clip_halfspace(P, Halfspace(tuple(map(F, z)), F(b)))
+    assert Q.is_full_dimensional and 0 < Q.volume < P.volume
+    assert (Q.ints, Q.facet_ints, Q.volume_ints) == (R.ints, R.facet_ints, R.volume_ints)
+
+
 # ---------------------------------------------------------------- enumeration
 
 
@@ -203,6 +218,112 @@ def test_vertex_enumeration_empty():
     ]
     with pytest.raises(EmptyIntersection):
         vertex_enumeration(hs, 2)
+
+
+def _per_subset_vertex_enumeration(halfspaces, dim):
+    """vertex_enumeration as it was with n cross_rows calls per n-subset,
+    before the cofactors were shared per (n-1)-subset: the reference for
+    the differential test below."""
+    if dim < 1 or dim > geometry.DIM_CAP:
+        raise DimensionLimit(f"ambient dimension {dim} outside 1..{geometry.DIM_CAP}")
+    if len(halfspaces) > 128:
+        raise BadParams("more than 128 halfspaces")
+    tight = {}
+    for h in halfspaces:
+        z = h.normal
+        if not any(z):
+            raise ZeroVector("halfspace with zero normal")
+        if len(z) != dim:
+            raise DimensionMismatch("halfspace normal length mismatch")
+        u = primitive_from_rational(z)
+        k = next(k for k, c in enumerate(z) if c)
+        b = F(h.bound) * u[k] / F(z[k])
+        if u not in tight or b < tight[u]:
+            tight[u] = b
+    normals = sorted(tight)
+    if not geometry._origin_interior(normals, dim):
+        raise Unbounded("constraint normals do not positively span R^n")
+    D = lcm(*(b.denominator for b in tight.values()))
+    rows = [(z, tight[z].numerator * (D // tight[z].denominator)) for z in normals]
+    candidates = set()
+    for subset in combinations(rows, dim):
+        a = [z for z, _ in subset]
+        cof = [
+            tuple((-1) ** (dim - 1 - j) * c for c in cross_rows(a[:j] + a[j + 1 :]))
+            for j in range(dim)
+        ]
+        det = dot(cof[-1], a[-1])
+        if det == 0:
+            continue
+        X = [sum(bj * C[i] for (_, bj), C in zip(subset, cof)) for i in range(dim)]
+        if det < 0:
+            det, X = -det, [-c for c in X]
+        if all(dot(z, X) <= bz * det for z, bz in rows):
+            candidates.add(tuple(F(c, det * D) for c in X))
+    if not candidates:
+        raise EmptyIntersection("halfspace intersection is empty")
+    return geometry._from_points(candidates, dim)
+
+
+def _seeded_halfspaces(seed):
+    """A box about the origin in R^n, n = 2..4, plus random cuts, among
+    them duplicate normals, parallel (scaled) normals and redundant cuts;
+    bounds of either sign, so some sets are empty."""
+    rng = random.Random(f"venum-diff:{seed}")
+    n = 2 + seed % 3
+    hs = []
+    for i in range(n):
+        e = tuple(int(j == i) for j in range(n))
+        hs.append(Halfspace(e, F(rng.randrange(1, 7), rng.randrange(1, 4))))
+        hs.append(Halfspace(tuple(-x for x in e), F(rng.randrange(0, 7), rng.randrange(1, 4))))
+    for _ in range(rng.randrange(1, 6)):
+        z = tuple(rng.randrange(-3, 4) for _ in range(n))
+        if not any(z):
+            continue
+        b = F(rng.randrange(-4, 9), rng.randrange(1, 5))
+        hs.append(Halfspace(z, b))
+        kind = rng.randrange(4)
+        if kind == 0:  # the same normal again, with another bound
+            hs.append(Halfspace(z, b + F(rng.randrange(-2, 3), 3)))
+        elif kind == 1:  # a parallel normal, scaled
+            k = rng.randrange(2, 4)
+            hs.append(Halfspace(tuple(k * x for x in z), k * b + rng.randrange(-1, 2)))
+        elif kind == 2:  # redundant: far beyond the box
+            hs.append(Halfspace(z, F(100)))
+    rng.shuffle(hs)
+    return hs, n
+
+
+def _box_with(n, extra):
+    hs = [Halfspace(tuple(s * int(j == i) for j in range(n)), 1)
+          for i in range(n) for s in (1, -1)]
+    return hs + extra
+
+
+_VENUM_EDGE_CASES = [
+    # x <= 0 and -x <= 0: the intersection is a lower-dimensional face
+    (_box_with(2, [Halfspace((1, 0), 0), Halfspace((-1, 0), 0)]), 2),
+    (_box_with(3, [Halfspace((1, 0, 0), 0), Halfspace((-1, 0, 0), 0)]), 3),
+    (_box_with(4, [Halfspace((0, 1, 1, 0), 0), Halfspace((0, -1, -1, 0), 0)]), 4),
+    # x >= 1/2 and x <= -1/2: empty
+    (_box_with(3, [Halfspace((1, 0, 0), F(-1, 2)), Halfspace((-1, 0, 0), F(-1, 2))]), 3),
+]
+
+
+@pytest.mark.parametrize(
+    "hs, dim",
+    [_seeded_halfspaces(seed) for seed in range(36)] + _VENUM_EDGE_CASES,
+    ids=[f"seed{seed}" for seed in range(36)] + ["flat2", "flat3", "flat4", "empty3"],
+)
+def test_vertex_enumeration_matches_per_subset_solver(hs, dim):
+    def run(solve):
+        try:
+            P = solve(hs, dim)
+        except Exception as exc:  # both sides must raise the same type
+            return type(exc)
+        return P.adim, P.ints, P.facet_ints, P.volume_ints
+
+    assert run(vertex_enumeration) == run(_per_subset_vertex_enumeration)
 
 
 def test_vertex_enumeration_halfspace_cap():

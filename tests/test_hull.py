@@ -183,8 +183,20 @@ _CROSS4_MIDPOINTS = sorted(
 )
 
 
+# 2*cube(3), its 12 edge midpoints and its 6 facet centres: all of
+# {0,1,2}^3 but the centre; the initial simplex's first scan finds nine
+# points at the top height and must take the lowest index among them
+_CUBE3_TIES = sorted(p for p in product(range(3), repeat=3) if p != (1, 1, 1))
+# here the first insertion scan finds (1,0,0), (1,1,0) and (1,2,0) at the
+# top height, and the middle one is no vertex
+_SCAN_TIE = [(0, 0, 0), (0, 2, 0), (1, 0, 0), (1, 1, 0), (1, 2, 0), (1, 2, 2),
+             (2, 0, 1)]
+
+
 @settings(max_examples=80)
 @example((4, _CROSS4_MIDPOINTS))
+@example((3, _CUBE3_TIES))
+@example((3, _SCAN_TIE))
 @given(full_clouds())
 def test_hull_matches_brute_force(cloud):
     d, pts = cloud
@@ -241,6 +253,8 @@ def test_interior_heavy_matches_brute_force(cloud):
 # no vertex
 @example((3, [(-2, -2, -2), (-2, 0, 0), (-1, -1, -1), (-1, 1, 0), (0, -2, -1),
               (0, 1, 1)]))
+@example((3, _CUBE3_TIES))
+@example((3, _SCAN_TIE))
 @given(st.one_of(full_clouds(), interior_heavy_clouds()))
 def test_every_inserted_point_is_a_vertex(cloud):
     # the initial simplex is made of vertices, and each inserted point
