@@ -50,7 +50,9 @@ from .geometry import (
     project_along,
     support_value,
     vertex_adjacency,
+    _from_int_points,
     _from_points,
+    _homothety,
     _support_rows,
 )
 from .hull import hull_int
@@ -277,10 +279,8 @@ def support_drop_set(K: Polytope, M: Polytope):
     other facets. Vertices are matched as integer rows at lcm(s_K, s_M), and
     h_M(z) = max<z, row_M>/s_M < c/cd, K's offset, is compared as
     max<z, row_M>·cd < c·s_M."""
-    if not K.is_full_dimensional:
-        raise DegenerateInput("facet structure requires a full-dimensional polytope")
+    frows, cd, _ = _facet_ints(K)
     (rk, sk), (rm, sm) = K.ints, M.ints
-    frows, cd, _ = K.facet_ints
     s = lcm(sk, sm)
     a, b = s // sk, s // sm
     ours = {tuple(b * c for c in row) for row in rm}
@@ -313,21 +313,23 @@ def homothety_check(K: Polytope, P: Polytope):
     """Scale lambda > 0 with P = lambda·K + x, or None.
 
     A map y -> lambda·y + x with lambda > 0 keeps the lex order of points,
-    so it sends K's i-th sorted vertex to P's i-th. lambda and x are read
-    off the first two vertices, and the images of all of K's vertices must
-    be P's vertex tuple exactly. That rejects unequal vertex counts, and
-    lambda <= 0, which reverses or collapses the order.
+    so it sends K's i-th sorted vertex row to P's i-th. lambda and x are
+    read off the first two integer rows of each, and the image of K under
+    _homothety must equal P. That rejects unequal vertex counts, and
+    lambda <= 0, which reverses or collapses the order. No vertex view is
+    built.
     """
     if K.dim != P.dim:
         raise DimensionMismatch("ambient dimensions differ")
     if not (K.is_full_dimensional and P.is_full_dimensional):
         raise DegenerateInput("homothety check needs full-dimensional bodies")
-    (k0, k1, *_), (p0, p1, *_) = K.vertices, P.vertices
+    ((k0, k1, *_), sk), ((p0, p1, *_), sp) = K.ints, P.ints
     c = next(c for c in range(K.dim) if k1[c] != k0[c])
-    lam = (p1[c] - p0[c]) / (k1[c] - k0[c])
-    x = vsub(p0, tuple(lam * a for a in k0))
-    mapped = tuple(tuple(lam * a + b for a, b in zip(v, x)) for v in K.vertices)
-    return lam if mapped == P.vertices else None
+    lam = Fraction((p1[c] - p0[c]) * sk, (k1[c] - k0[c]) * sp)
+    if lam <= 0:
+        return None
+    x = tuple(Fraction(b, sp) - lam * Fraction(a, sk) for a, b in zip(k0, p0))
+    return lam if _homothety(K, lam, x) == P else None
 
 
 def lemma_measure_power_identity(K: Polytope, spec: MoveSpec, r: int) -> LemmaCheck:
@@ -447,8 +449,7 @@ def counterexample_search(K: Polytope, budget: int) -> BezoutCertificate:
             },
             key=lambda d: tuple(reversed(d)),
         )
-        origin = tuple(Fraction(0) for _ in range(n))
-        segs = [_from_points([origin, tuple(map(Fraction, d))], n) for d in dirs]
+        segs = [_from_int_points([(0,) * n, d], 1, n) for d in dirs]
         yield from combinations(segs, 2)
 
         # (b) facet-move pairs at +-half of the safe ranges

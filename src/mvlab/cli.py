@@ -30,7 +30,7 @@ from .documents import (
 from .errors import BadArity, BadParams, BudgetExhausted, MvlabError, ParseError
 from .generators import generate, random_points
 from .geometry import DIM_CAP, convex_hull
-from .linalg import primitive_from_rational
+from .linalg import primitive
 from .mixed import mixed_volume, mixed_volume_via_measure
 
 
@@ -194,10 +194,10 @@ def _cmd_strict(ns, bodies):
     if len(bodies) != 1:
         raise BadArity("strict takes exactly one body")
     K = bodies[0][0]
-    apex = max(K.vertices)  # lex-max vertex fixes the cap direction
+    apex = K.ints[0][-1]  # the lex-max vertex row fixes the cap direction
     if not any(apex):
         raise BadParams("lex-max vertex is the origin; translate the body first")
-    z = primitive_from_rational(apex)
+    z = primitive(apex)
     eps = Fraction(1, 10)
     k = max(range(K.dim), key=lambda i: (abs(z[i]), -i))
     axis = tuple(int(i == k) for i in range(K.dim))

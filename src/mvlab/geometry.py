@@ -22,7 +22,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, combinations
-from math import factorial, gcd, lcm
+from math import comb, factorial, gcd, lcm
 
 from .errors import (
     DegenerateInput,
@@ -86,41 +86,29 @@ class Polytope:
     volume_ints = (v, vd) encodes the volume v / vd. A hull at scale s
     takes the kernel's integers as they are, over cd = s, wd = (n-1)!·s^(n-1)
     and vd = n!·s^n (hull.hull_int); a lower-dimensional body has no facets
-    and volume 0. The denominators are stored, not derived from s: a
-    translation changes s but keeps every weight and the volume, and views
-    given as Fractions fix their own denominators.
+    (_NO_FACETS) and volume (0, 1). The denominators are stored, not derived
+    from s: a translation changes s but keeps every weight and the volume.
 
-    Polytope(dim, adim, vertices, facets, volume, ints=None,
-    facet_ints=None, volume_ints=None) fills each integer encoding that is
-    not given from its given view, which stays the body's view. A view
-    given as None is built from its integers on first read: the vertices
-    as rows[i] / s, the facets as FacetData and the volume as a Fraction.
+    Polytope(dim, adim, ints, facet_ints, volume_ints) takes the three
+    encodings as they are; every body is built from integers, by
+    _from_int_points or _homothety. Its Fraction views are built on first
+    read: the vertices as rows[i] / s, the facets as FacetData and the
+    volume as v / vd.
     """
 
     __slots__ = ("dim", "adim", "ints", "facet_ints", "volume_ints",
                  "_vertices", "_facets", "_volume", "_key")
 
-    def __init__(self, dim, adim, vertices, facets, volume, ints=None,
-                 facet_ints=None, volume_ints=None):
-        if ints is None:
-            rows, s = scale_to_int(vertices)
-            ints = (tuple(rows), s)
-        if facet_ints is None:
-            (cs,), cd = scale_to_int([[f.offset for f in facets]])
-            (ws,), wd = scale_to_int([[f.normalized_volume for f in facets]])
-            frows = zip((f.normal for f in facets), cs, (f.vertices for f in facets), ws)
-            facet_ints = (tuple(frows), cd, wd)
-        if volume_ints is None:
-            volume_ints = (volume.numerator, volume.denominator)
+    def __init__(self, dim, adim, ints, facet_ints, volume_ints):
         init = object.__setattr__
         init(self, "dim", dim)
         init(self, "adim", adim)
         init(self, "ints", ints)
         init(self, "facet_ints", facet_ints)
         init(self, "volume_ints", volume_ints)
-        init(self, "_vertices", vertices)
-        init(self, "_facets", facets)
-        init(self, "_volume", volume)
+        init(self, "_vertices", None)
+        init(self, "_facets", None)
+        init(self, "_volume", None)
         init(self, "_key", None)
 
     def __setattr__(self, name, value):
@@ -129,9 +117,8 @@ class Polytope:
     __delattr__ = __setattr__
 
     def __reduce__(self):  # pickle and copy the integers, not the views
-        args = (self.dim, self.adim, None, None, None, self.ints,
-                self.facet_ints, self.volume_ints)
-        return Polytope, args
+        return Polytope, (self.dim, self.adim, self.ints, self.facet_ints,
+                          self.volume_ints)
 
     @property
     def vertices(self):
@@ -198,7 +185,7 @@ def _as_point(p, dim) -> tuple:
 
 
 def empty_polytope(dim: int) -> Polytope:
-    return Polytope(dim, -1, (), (), Fraction(0))
+    return Polytope(dim, -1, ((), 1), _NO_FACETS, (0, 1))
 
 
 def _from_points(points, dim: int) -> Polytope:
@@ -218,14 +205,14 @@ def _from_int_points(rows, s: int, dim: int) -> Polytope:
     hd = hull_int(rows, dim)
     verts = tuple(hd.points[i] for i in hd.vertex_indices)
     if hd.adim < dim:
-        return Polytope(dim, hd.adim, None, None, None, (verts, s), _NO_FACETS, (0, 1))
+        return Polytope(dim, hd.adim, (verts, s), _NO_FACETS, (0, 1))
     position = {i: k for k, i in enumerate(hd.vertex_indices)}
     frows = tuple(
         (hf.normal, hf.offset, tuple(position[i] for i in hf.vertices), hf.weight)
         for hf in hd.facets
     )
     wd = _FACTORIAL[dim - 1] * s ** (dim - 1)
-    return Polytope(dim, dim, None, None, None, (verts, s), (frows, s, wd),
+    return Polytope(dim, dim, (verts, s), (frows, s, wd),
                     (hd.volume, _FACTORIAL[dim] * s**dim))
 
 
@@ -260,13 +247,13 @@ def vertex_enumeration(halfspaces, dim: int) -> Polytope:
     is feasible iff <z, X> <= D·b_z·det for every constraint (det > 0), and
     only feasible points become Fractions.
 
-    Guard: at most 128 halfspaces (the subset count is binomial in the
-    input size).
+    Guard: at most C(128, 2) = 8,128 n-subsets of the input, checked
+    before any work: 128 halfspaces in R^2, 37 in R^3 and 22 in R^4.
     """
     if dim < 1 or dim > DIM_CAP:
         raise DimensionLimit(f"ambient dimension {dim} outside 1..{DIM_CAP}")
-    if len(halfspaces) > 128:
-        raise BadParams("more than 128 halfspaces")
+    if comb(len(halfspaces), dim) > comb(128, 2):
+        raise BadParams(f"{len(halfspaces)} halfspaces make more than 8128 {dim}-subsets")
     tight: dict[tuple[int, ...], Fraction] = {}
     for h in halfspaces:
         z = h.normal
@@ -332,14 +319,16 @@ def _support_rows(P: Polytope, z):
         raise ZeroVector("support direction is zero")
     if P.is_empty:
         raise DegenerateInput("support of the empty polytope")
+    if not all(type(c) is int for c in z):  # a float z made exact, ties too
+        z = tuple(map(Fraction, z))
     rows, s = P.ints
     return [dot(z, row) for row in rows], s
 
 
 def support_value(P: Polytope, z) -> Fraction:
-    """max <x, z> over P, for an integer direction z of length P.dim
-    (denominator-cleared support function: equals ||z|| times the
-    unit-normal support value). One integer max over the vertex rows."""
+    """max <x, z> over P, for a direction z of length P.dim (denominator-
+    cleared support function: equals ||z|| times the unit-normal support
+    value). One max over the vertex rows, in integers for an integer z."""
     vals, s = _support_rows(P, z)
     return Fraction(max(vals), s)
 
@@ -392,7 +381,7 @@ def _homothety(P: Polytope, lam: Fraction, x) -> Polytope:
         facet_ints = (frows, T, wd * den ** (n - 1))
         v, vd = volume_ints
         volume_ints = (v * num**n, vd * den**n)
-    return Polytope(P.dim, P.adim, None, None, None, ints, facet_ints, volume_ints)
+    return Polytope(P.dim, P.adim, ints, facet_ints, volume_ints)
 
 
 def translate(P: Polytope, x) -> Polytope:
@@ -408,8 +397,7 @@ def dilate(P: Polytope, lam) -> Polytope:
     if P.is_empty:
         return P
     if lam == 0:
-        return Polytope(P.dim, 0, None, None, None, (((0,) * P.dim,), 1),
-                        _NO_FACETS, (0, 1))
+        return Polytope(P.dim, 0, (((0,) * P.dim,), 1), _NO_FACETS, (0, 1))
     return _homothety(P, lam, (0,) * P.dim)
 
 

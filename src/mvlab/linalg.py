@@ -1,10 +1,12 @@
 """Exact linear algebra over integers and fractions.
 
 Everything here is tuned for the tiny dense systems this package needs.
-cross_rows has closed forms up to R^4 (DIM_CAP), the hull engine's normals;
-det expands up to 3x3 explicitly and larger ones by cofactors. Gaussian
-elimination is fraction-free, and runs on integer rows without any
-denominator bookkeeping. The gcd of a vector v is math.gcd(*v).
+cross_rows has closed forms up to R^4 (DIM_CAP), the hull engine's normals
+and vertex_enumeration's cofactors. Gaussian elimination (_eliminate) is
+fraction-free, and runs on integer rows without any denominator
+bookkeeping. det and rref have no caller in src/; all four of det, rank,
+rref and solve stay because perfbench/spans.py wraps them by name
+(ROADMAP item 15). The gcd of a vector v is math.gcd(*v).
 """
 
 from __future__ import annotations

@@ -573,6 +573,22 @@ def test_homothety_check():
         homothety_check(sq, seg((0, 0), (1, 0), 2))
 
 
+def test_homothety_check_builds_no_view():
+    """lambda and x come from the integer rows and the image of K is
+    compared by its integers, so neither body gets a vertex view."""
+    K = truncated_simplex(3, F(1, 3))
+    slab = convex_hull([(a + c, b, c) for a in (0, 1) for b in (0, 1) for c in (0, 1)], 3)
+    cases = [
+        (K, translate(dilate(K, F(2, 7)), (F(-5, 2), 1, F(1, 9))), F(2, 7)),
+        (simplex(2), convex_hull([(0, 0), (1, 0), (1, 1)], 2), None),  # lambda = 0
+        (cube(3), slab, None),
+        (cube(3), cross_polytope(3), None),
+    ]
+    for K, P, lam in cases:
+        assert homothety_check(K, P) == lam
+        assert K._vertices is None and P._vertices is None
+
+
 def test_homothety_iff_proportional_random():
     rng = random.Random("homo")
     for _ in range(12):

@@ -49,7 +49,7 @@ from mvlab.geometry import (
     vertex_enumeration,
 )
 from mvlab.hull import hull_int
-from mvlab.linalg import cross_rows, dot, primitive_from_rational, rank
+from mvlab.linalg import cross_rows, dot, primitive_from_rational, rank, scale_to_int
 
 F = Fraction
 
@@ -327,9 +327,18 @@ def test_vertex_enumeration_matches_per_subset_solver(hs, dim):
 
 
 def test_vertex_enumeration_halfspace_cap():
+    """At most C(128, 2) n-subsets of the input: one more halfspace is
+    refused before any work, even on a set that is also unbounded, and
+    the most allowed (the box's halfspaces repeated) give the box."""
     hs = [Halfspace((1, k), k) for k in range(200)]
     with pytest.raises(BadParams):
         vertex_enumeration(hs, 2)
+    for dim, most in ((2, 128), (3, 37), (4, 22)):
+        box = _box_with(dim, [])
+        assert vertex_enumeration((box * most)[:most], dim) == vertex_enumeration(box, dim)
+        unbounded = [Halfspace((1, k) + (0,) * (dim - 2), k) for k in range(most + 1)]
+        with pytest.raises(BadParams, match=f"{most + 1} halfspaces"):
+            vertex_enumeration(unbounded, dim)
 
 
 @pytest.mark.parametrize("hs, dim, error", [
@@ -369,6 +378,20 @@ def test_face_in_direction():
     assert v.adim == 0 and v.vertices == ((F(1), F(1)),)
     e = face_in_direction(sq, (1, 0))
     assert e.adim == 1 and set(e.vertices) == {(F(1), F(0)), (F(1), F(1))}
+
+
+def test_float_directions_are_exact():
+    """A direction that is not all-int is made exact: support values are
+    Fractions, and face ties are exact. Along (0.1, 0.2), which is 0.1·(1, 2)
+    exactly, (0, 6) and (2, 5) tie, though their float dot products
+    1.2000000000000002 and 1.2 do not."""
+    assert support_value(square(), (0.5, 1)) == F(3, 2)
+    assert support_value(square(), (Decimal("0.1"), -1)) == F(1, 10)
+    P = convex_hull([(0, 0), (0, 6), (2, 5)], 2)
+    assert support_value(P, (0.1, 0.2)) == 12 * F(0.1)
+    for z in ((0.1, 0.2), (Decimal("0.1"), Decimal("0.2")), (1, 2.0)):
+        face = face_in_direction(P, z)
+        assert face == face_in_direction(P, (1, 2)) and face.adim == 1
 
 
 def test_minkowski_triangle_plus_segment():
@@ -522,7 +545,7 @@ BUILDERS = {
          Halfspace((-1, -1), 1)], 2
     ),
     "shift_facet": lambda: move_facet(_cube3(), MoveSpec(0, F(1, 3))),
-    "positional": lambda: Polytope(2, 0, ((F(1, 2), F(3)),), (), F(0)),
+    "positional": lambda: Polytope(2, 0, (((1, 6),), 2), ((), 1, 1), (0, 1)),
 }
 builders = pytest.mark.parametrize("build", BUILDERS.values(), ids=BUILDERS.keys())
 
@@ -530,6 +553,14 @@ builders = pytest.mark.parametrize("build", BUILDERS.values(), ids=BUILDERS.keys
 @builders
 def test_integer_rows(build):
     assert_rows(build())
+
+
+@builders
+def test_fresh_body_has_no_views(build):
+    """Every body is built from its integer encodings alone: no vertex,
+    facet or volume view exists until one is read."""
+    P = build()
+    assert (P._vertices, P._facets, P._volume) == (None, None, None)
 
 
 def test_integer_rows_reference_images():
@@ -578,13 +609,14 @@ def test_minkowski_point_is_translation(n):
 def test_integer_rows_ignored_by_equality(build):
     """Equality, hashing and key() see the point set, not the scale: a
     body is the same as a copy of its rows at 7 times its scale, whose
-    vertex view is built from those rows, and as the body built from its
-    own Fraction vertices, whose rows are at the least scale."""
+    vertex view is built from those rows, and as a copy of its own Fraction
+    vertices cleared at the least scale."""
     P = build()
     rows, s = P.ints
     scaled = (tuple(tuple(7 * c for c in r) for r in rows), 7 * s)
-    Q = Polytope(P.dim, P.adim, None, P.facets, P.volume, scaled)
-    R = Polytope(P.dim, P.adim, P.vertices, P.facets, P.volume)
+    least, t = scale_to_int(P.vertices)
+    Q = Polytope(P.dim, P.adim, scaled, P.facet_ints, P.volume_ints)
+    R = Polytope(P.dim, P.adim, (tuple(least), t), P.facet_ints, P.volume_ints)
     assert Q.ints != P.ints
     for X in (Q, R):
         assert X == P and P == X and not X != P
@@ -593,19 +625,18 @@ def test_integer_rows_ignored_by_equality(build):
     assert Q.vertices == P.vertices
     for X in (pickle.loads(pickle.dumps(P)), copy.deepcopy(Q)):
         assert (X, X.adim, X.facets, X.volume) == (P, P.adim, P.facets, P.volume)
-    assert P != Polytope(P.dim + 1, P.adim, None, P.facets, P.volume, P.ints)
+    assert P != Polytope(P.dim + 1, P.adim, P.ints, P.facet_ints, P.volume_ints)
     assert P.__eq__(P.ints) is NotImplemented and P != P.ints
     with pytest.raises(AttributeError):
         P.adim = 0
     if rows:
         moved = (rows[:-1] + (tuple(c + 1 for c in rows[-1]),), s)
-        assert P != Polytope(P.dim, P.adim, None, P.facets, P.volume, moved)
+        assert P != Polytope(P.dim, P.adim, moved, P.facet_ints, P.volume_ints)
 
 
 def test_vertex_view_built_only_when_read():
     """The gap of two segments against a 4-simplex reads K's integer rows
-    alone; K's Fraction vertices are built on the first read, as rows / s,
-    and a body built from given vertices keeps those as its view."""
+    alone; K's Fraction vertices are built on the first read, as rows / s."""
     n = 4
     L = convex_hull([(0, 0, 0, 0), (1, F(1, 2), 0, 0)], n, allow_lower=True)
     M = convex_hull([(0, F(1, 3), 0, 0), (0, 0, 2, -1)], n, allow_lower=True)
@@ -618,8 +649,6 @@ def test_vertex_view_built_only_when_read():
     assert view == tuple(tuple(F(c, s) for c in row) for row in rows)
     assert all(type(c) is F for v in view for c in v)
     assert K.vertices is view
-    given = ((F(1, 2), F(3)),)
-    assert Polytope(2, 0, given, (), F(0)).vertices is given
 
 
 def _fraction_views(P):
@@ -684,9 +713,9 @@ def test_facet_and_volume_views_match_fraction_formula(n):
 
 def test_facet_and_volume_views_built_only_when_read():
     """The gap, the safe move range, facet moves of either sign and the
-    simplex audit read the integer facet data of their bodies alone; views
-    given to the constructor come back as given; pickle and deepcopy carry
-    the integers, so neither copy nor original gets a view built."""
+    simplex audit read the integer facet data of their bodies alone; pickle
+    and deepcopy carry the integers, so neither copy nor original gets a
+    view built."""
     n = 3
     simplex = [(0, 0, 0), (1, F(1, 2), 0), (0, F(2, 3), 1), (F(1, 3), 0, 2)]
     cases = [
@@ -709,10 +738,6 @@ def test_facet_and_volume_views_built_only_when_read():
         simplex_audit(K)
         for P in [K] + moved:
             assert P._facets is None and P._volume is None
-    K = convex_hull(simplex, n)
-    facets, volume = K.facets, K.volume
-    given = Polytope(n, n, None, facets, volume, K.ints)
-    assert given.facets is facets and given.volume is volume
     P = convex_hull(kp, n)
     for X in (pickle.loads(pickle.dumps(P)), copy.deepcopy(P)):
         assert X == P and X.facet_ints == P.facet_ints

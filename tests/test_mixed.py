@@ -121,7 +121,7 @@ def test_input_checks_type_first_and_cap(evaluate, missing):
     """Each evaluator takes n - missing bodies in R^n."""
     with pytest.raises(DegenerateInput, match="Polytope values"):
         evaluate([(0, 0)] + [square()] * (1 - missing))
-    big = Polytope(5, 5, ((F(0),) * 5,), (), F(0))
+    big = Polytope(5, 5, (((0,) * 5,), 1), ((), 1, 1), (0, 1))
     with pytest.raises(DimensionLimit, match="ambient dimension 5 exceeds 4"):
         evaluate([big] * (5 - missing))
 
