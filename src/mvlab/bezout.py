@@ -46,7 +46,6 @@ from .geometry import (
     Halfspace,
     Polytope,
     clip_halfspace,
-    facet_structure,
     project_along,
     support_value,
     vertex_adjacency,
@@ -481,10 +480,10 @@ def facet_move_linearity_check(
     n = K.dim
     frows = _facet_ints(K, facet_index)[0]
     z = frows[facet_index][0]
-    facets_P = facet_structure(P)
-    if not {f.normal for f in facets_P} <= {row[0] for row in frows}:
+    rows_P, _, wd = _facet_ints(P)
+    if not {row[0] for row in rows_P} <= {row[0] for row in frows}:
         raise BadParams("P has facet normals outside K's fan")
-    wP = next((f.normalized_volume for f in facets_P if f.normal == z), Fraction(0))
+    wP = next((Fraction(w, wd) for zP, _, _, w in rows_P if zP == z), Fraction(0))
     Kt = move_facet(K, MoveSpec(facet_index, t))
     base = [P] * (n - 1)
     return (

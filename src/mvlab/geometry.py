@@ -499,8 +499,12 @@ def contains_point(P: Polytope, x) -> bool:
         frows, cd, _ = P.facet_ints
         return all(dot(z, X) * cd <= c * t for z, c, _, _ in frows)
     # lower-dimensional: x must lie in the affine hull and inside the hull
-    # there; test by rebuilding the hull with x adjoined
-    return _from_points(list(P.vertices) + [x], P.dim) == P
+    # there; test by rebuilding the hull with x adjoined, over one scale
+    rows, s = P.ints
+    (X,), t = scale_to_int([x])
+    m = lcm(s, t)
+    pts = [tuple(c * (m // s) for c in row) for row in rows]
+    return _from_int_points(pts + [tuple(c * (m // t) for c in X)], m, P.dim) == P
 
 
 def vertex_adjacency(P: Polytope):

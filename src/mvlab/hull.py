@@ -42,6 +42,14 @@ triangulation (De Loera, Rambau & Santos, *Triangulations*, 2010, section
     face, a vertex. The initial simplex is made of vertices too, so every
     point of every boundary simplex is a vertex.
 
+Cone step. A boundary simplex is the cone from its last point p over the
+others, with normal n = cross_rows(the rows from p to them) turned so that
+<n, w> < 0, w = s - (d+1)p, s the sum of the initial simplex's points: the
+centroid s/(d+1) stays strictly inside, so <n, w> = 0 only if n = 0, which
+(a) rules out, and each insertion makes one w. Two new simplices meet on p
+and a sub-ridge, d-2 points of a horizon ridge, keyed by their sorted pair
+at d = 4 and by its point at d = 3 (none at d = 1; d = 2 takes the chain).
+
 Each simplex lies in a true facet, so simplices merge into facets by their
 hyperplane. With n = cross_rows(edge vectors), det(rows + [y]) == <n, y>:
 the pyramid over a simplex from points[0] is (offset - <n, points[0]>)/d!,
@@ -71,9 +79,9 @@ gcd(N)/(d-1)!, its vertices are its d points, and the volume is |det|/d!
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, combinations, count
+from itertools import combinations
 from math import gcd
-from operator import mul
+from operator import mul, neg
 
 from .errors import InternalCheckError
 from .linalg import _eliminate, cross_rows, dot, vsub
@@ -148,17 +156,14 @@ def _cross2(o, a, b):
 
 
 def _hull_2d(pts) -> HullData:
-    lower: list[tuple[int, int]] = []
-    for p in pts:
-        while len(lower) >= 2 and _cross2(lower[-2], lower[-1], p) <= 0:
-            lower.pop()
-        lower.append(p)
-    upper: list[tuple[int, int]] = []
-    for p in reversed(pts):
-        while len(upper) >= 2 and _cross2(upper[-2], upper[-1], p) <= 0:
-            upper.pop()
-        upper.append(p)
-    ring = lower[:-1] + upper[:-1]  # counterclockwise, strictly convex
+    ring = []  # the lower chain, then the upper: counterclockwise, strictly convex
+    for seq in (pts, pts[::-1]):
+        half: list[tuple[int, int]] = []
+        for p in seq:
+            while len(half) >= 2 and _cross2(half[-2], half[-1], p) <= 0:
+                half.pop()
+            half.append(p)
+        ring += half[:-1]
 
     index = {p: i for i, p in enumerate(pts)}
     area2 = 0
@@ -171,14 +176,8 @@ def _hull_2d(pts) -> HullData:
         ends = tuple(sorted((index[a], index[b])))
         facets.append(HullFacet(z, dot(z, a), g, ends))
     facets.sort(key=lambda f: f.normal)
-    return HullData(
-        2,
-        2,
-        tuple(pts),
-        tuple(sorted(index[p] for p in ring)),
-        tuple(facets),
-        abs(area2),
-    )
+    verts = tuple(sorted(index[p] for p in ring))
+    return HullData(2, 2, tuple(pts), verts, tuple(facets), abs(area2))
 
 
 @dataclass(slots=True)
@@ -224,17 +223,6 @@ def _initial_simplex(pts, d):
 def _build(pts, d, init) -> HullData:
     cen_sum = tuple(sum(pts[i][k] for i in init) for k in range(d))
 
-    def make_facet(verts, edges) -> _F:
-        # edges: the rows from pts[verts[-1]] to the other points of verts
-        n = cross_rows(edges)
-        if not any(n):
-            raise InternalCheckError("flat boundary simplex")
-        # the centroid of the initial simplex stays strictly inside
-        offset = dot(n, pts[verts[-1]])
-        if dot(n, cen_sum) - (d + 1) * offset > 0:
-            n, offset = tuple(-x for x in n), -offset
-        return _F(verts, n, offset, [None] * d, [])
-
     def assign(ips, ks):
         # each point goes to the first simplex it is strictly beyond; one
         # beyond none lies in the hull so far and is not extreme
@@ -248,21 +236,25 @@ def _build(pts, d, init) -> HullData:
             else:
                 outside.discard(ip)
 
-    # simplex k omits init[k]; across its ridge without init[m] lies simplex m
+    # simplex k omits init[k]; across its ridge without init[m] lies simplex
+    # m; it is the cone from its last point p (cone step)
     facets = {}
     for k in range(d + 1):
         verts = tuple(init[:k] + init[k + 1 :])
-        facets[k] = make_facet(verts, [vsub(pts[i], pts[verts[-1]]) for i in verts[:-1]])
-        facets[k].nbrs = [init.index(v) for v in verts]
-    ids = count(d + 1)
+        p = pts[verts[-1]]
+        n = cross_rows([vsub(pts[i], p) for i in verts[:-1]])
+        if (s := dot(n, cen_sum) - (d + 1) * dot(n, p)) > 0:
+            n = tuple(map(neg, n))
+        elif not s:
+            raise InternalCheckError("flat boundary simplex")
+        facets[k] = _F(verts, n, dot(n, p), [m for m in range(d + 1) if m != k], [])
+    top = d + 1  # the next simplex id
     outside = set(range(len(pts))) - set(init)
     assign(sorted(outside), list(facets))
 
-    # insert, of all points still outside, the one furthest along the
-    # normal of a simplex with a nonempty outside set, the lowest index
-    # among the furthest: a vertex (fact d); the visible simplices form a
-    # ball (fact b): walk across ridges from this one; the horizon is the
-    # ridges between a visible and an invisible simplex
+    # insert the point furthest along the normal of a simplex with a nonempty
+    # outside set, a vertex (fact d); walk the visible ball (fact b) across
+    # ridges from this simplex to the horizon, the visible-invisible ridges
     pending = [k for k, f in facets.items() if f.out]
     while pending:
         k = pending.pop()
@@ -277,33 +269,46 @@ def _build(pts, d, init) -> HullData:
         seen, stack, horizon = {k: True}, [k], []
         while stack:
             a = stack.pop()
+            va = facets[a].verts
             for j, b in enumerate(facets[a].nbrs):
-                if b not in seen:
+                vis = seen.get(b)
+                if vis is None:
                     fb = facets[b]
-                    seen[b] = sum(map(mul, fb.normal, p)) > fb.offset
-                    if seen[b]:
+                    vis = seen[b] = sum(map(mul, fb.normal, p)) > fb.offset
+                    if vis:
                         stack.append(b)
-                if not seen[b]:
-                    horizon.append((a, j, b))
+                if not vis:
+                    horizon.append((a, b, va[:j] + va[j + 1 :]))
         # cone each horizon ridge to p, each edge row from p made once; two
-        # new simplices meet on a ridge through p, keyed by its other vertices
-        ridges = [facets[a].verts[:j] + facets[a].verts[j + 1 :] for a, j, _ in horizon]
-        edge = {v: vsub(pts[v], p) for v in set(chain.from_iterable(ridges))}
-        new, glue = [], {}
-        for (a, _, b), ridge in zip(horizon, ridges):
-            c = next(ids)
-            facets[c] = f = make_facet(ridge + (ip,), [edge[v] for v in ridge])
+        # new simplices meet on a ridge through p, keyed by its sub-ridge
+        edge = {v: vsub(pts[v], p) for v in {v for *_, r in horizon for v in r}}
+        w = [c - (d + 1) * x for c, x in zip(cen_sum, p)]
+        new, glue = range(top, top + len(horizon)), {}
+        top += len(horizon)
+        for c, (a, b, ridge) in zip(new, horizon):
+            n = cross_rows([edge[v] for v in ridge])
+            if (s := sum(map(mul, n, w))) > 0:
+                n = tuple(map(neg, n))
+            elif not s:
+                raise InternalCheckError("flat boundary simplex")
+            facets[c] = f = _F(ridge + (ip,), n, sum(map(mul, n, p)), [None] * d, [])
             f.nbrs[-1] = b
             nb = facets[b].nbrs
             nb[nb.index(a)] = c
-            for i in range(d - 1):
-                key = frozenset(ridge[:i] + ridge[i + 1 :])
-                if key in glue:
-                    o, oi = glue.pop(key)
-                    f.nbrs[i], facets[o].nbrs[oi] = o, c
-                else:
+            if d == 4:  # sorted vertex pairs
+                r0, r1, r2 = ridge
+                keys = (
+                    (r1, r2) if r1 < r2 else (r2, r1),
+                    (r0, r2) if r0 < r2 else (r2, r0),
+                    (r0, r1) if r0 < r1 else (r1, r0),
+                )
+            else:  # one vertex at d = 3, none at d = 1
+                keys = ridge[::-1]
+            for i, key in enumerate(keys):
+                if (o := glue.pop(key, None)) is None:
                     glue[key] = (c, i)
-            new.append(c)
+                else:
+                    f.nbrs[i], facets[o[0]].nbrs[o[1]] = o[0], c
         # an orphan still outside the hull is beyond a new simplex (fact c)
         orphans = [i for a, v in seen.items() if v for i in facets.pop(a).out]
         assign([i for i in orphans if i != ip], new)
@@ -312,21 +317,16 @@ def _build(pts, d, init) -> HullData:
     # merge boundary simplices into true facets by supporting hyperplane;
     # each simplex adds its pyramid from pts[0] and its share of the weight;
     # its points are vertices (fact d), so they are its facet's vertices
-    apex = pts[0]
-    vol_scaled = 0
-    groups: dict[tuple[tuple[int, ...], int], list] = {}
+    apex, vol_scaled = pts[0], 0
+    weight: dict[tuple[tuple[int, ...], int], int] = {}  # keyed by (z, c)
+    on: dict[tuple[tuple[int, ...], int], set] = {}
     for f in facets.values():
-        vol_scaled += f.offset - dot(f.normal, apex)
-        g = gcd(*f.normal)
-        key = (tuple(x // g for x in f.normal), f.offset // g)
-        groups.setdefault(key, []).append((f.verts, g))
-
-    out = []
-    for (z, c), simplex_list in groups.items():
-        weight = sum(g for _, g in simplex_list)
-        on_facet = sorted({i for verts, _ in simplex_list for i in verts})
-        out.append(HullFacet(z, c, weight, tuple(on_facet)))
-    out.sort(key=lambda f: f.normal)
-
-    vertex = sorted({i for f in facets.values() for i in f.verts})
+        n, c = f.normal, f.offset
+        vol_scaled += c - sum(map(mul, n, apex))
+        g = gcd(*n)
+        key = (n, c) if g == 1 else (tuple([x // g for x in n]), c // g)
+        weight[key] = weight.get(key, 0) + g
+        on.setdefault(key, set()).update(f.verts)
+    out = [HullFacet(*key, weight[key], tuple(sorted(on[key]))) for key in sorted(on)]
+    vertex = sorted(set().union(*on.values()))
     return HullData(d, d, tuple(pts), tuple(vertex), tuple(out), vol_scaled)

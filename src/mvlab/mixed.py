@@ -56,6 +56,7 @@ from .errors import (
 from .geometry import (
     DIM_CAP,
     Polytope,
+    _support_rows,
     dilate,
     face_in_direction,
     facet_structure,
@@ -272,7 +273,8 @@ def mixed_area_measure(bodies) -> DiscreteMeasure:
     atom weight at z is the (n-1)-dimensional mixed volume of the faces in
     direction z, projected along e_k for a coordinate k with maximal |z_k|
     and divided by |z_k|. Atoms of zero weight are dropped; so is z, before
-    any projection, when some face is a point (a point slot gives 0).
+    any face is built, when some face is a point (a point slot gives 0): one
+    vertex row of its body is at the maximum of <., z>.
     """
     bodies, n = _checked(bodies, 1)
     total = _subset_sum(tuple(sorted(bodies, key=Polytope.key)))
@@ -286,9 +288,9 @@ def mixed_area_measure(bodies) -> DiscreteMeasure:
 
     weights = {}
     for z in candidates:
-        faces = [face_in_direction(b, z) for b in bodies]
-        if any(f.adim == 0 for f in faces):
+        if any((h := _support_rows(b, z)[0]).count(max(h)) == 1 for b in bodies):
             continue  # a point slot: the atom's weight is 0
+        faces = [face_in_direction(b, z) for b in bodies]
         k = max(range(n), key=lambda i: abs(z[i]))
         axis = tuple(int(i == k) for i in range(n))
         w = mixed_volume([project_along(f, axis)[0] for f in faces])

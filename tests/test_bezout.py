@@ -712,6 +712,18 @@ def test_linearity_residual_zero():
         assert facet_move_linearity_check(sq, sq, i, F(-1, 4)) == 0
 
 
+def test_linearity_reads_integer_facet_rows():
+    """The check reads P's normals and its weight at z_i from P's integer
+    facet rows, so no facet view of P (or of K) is built; the residual
+    stays 0, also at a facet of K whose normal P lacks (w_P = 0)."""
+    K = clip_halfspace(cube(3), Halfspace((1, 1, 1), F(5, 2)))
+    corner = next(i for i, f in enumerate(K.facet_ints[0]) if f[0] == (1, 1, 1))
+    for i, P in ((0, cube(3)), (corner, cube(3)), (1, dilate(cube(3), F(2, 3)))):
+        K = clip_halfspace(cube(3), Halfspace((1, 1, 1), F(5, 2)))
+        assert facet_move_linearity_check(K, P, i, F(1, 4)) == 0
+        assert (K._facets, P._facets) == (None, None)
+
+
 def test_linearity_requires_subfan():
     with pytest.raises(BadParams):
         facet_move_linearity_check(cube(2), simplex(2), 0, F(1, 4))

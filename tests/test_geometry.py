@@ -453,6 +453,27 @@ def test_interior_and_contains():
         interior_point(empty_polytope(2))
 
 
+def test_flat_contains_point_builds_no_view():
+    """On a flat body the query rebuilds the hull from P's integer rows and
+    x over one common scale, so P's vertex view is never built; x may have
+    other denominators than P's rows."""
+    tri = convex_hull([(0, 0, 0), (F(1, 2), 0, 1), (0, F(1, 3), 1)], 3,
+                      allow_lower=True)
+    seg = convex_hull([(0, 0), (2, 2)], 2, allow_lower=True)
+    for P, x, inside in (
+        (tri, (F(1, 8), F(1, 12), F(1, 2)), True),
+        (tri, (F(1, 2), 0, 1), True),
+        (tri, (F(1, 4), F(1, 6), 1), True),  # on an edge
+        (tri, (F(1, 4), F(1, 5), F(11, 10)), False),  # in the plane, outside
+        (tri, (F(1, 8), F(1, 12), F(1, 3)), False),  # off the plane
+        (tri, (0.125, 0.0, 0.25), True),
+        (seg, (F(7, 5), F(7, 5)), True),
+        (seg, (3, 3), False),
+    ):
+        assert contains_point(P, x) is inside
+        assert P._vertices is None
+
+
 def test_vertex_adjacency_square():
     edges = vertex_adjacency(square())
     assert len(edges) == 4

@@ -1,16 +1,18 @@
-"""Hull engine: pinned outputs, a brute-force facet oracle on general and
-interior-heavy clouds, facet incidence, insertion-order paths, flat and 1D
-input, and spies on the boundary simplices the kernel makes and on its
-rank decisions."""
+"""Hull engine: pinned outputs, a brute-force facet oracle on general,
+interior-heavy and all-vertex clouds, facet incidence, insertion-order
+paths, flat and 1D input, and spies on the boundary simplices the kernel
+makes and on its rank decisions."""
 
 import hashlib
 from fractions import Fraction as F
+from functools import partial, reduce
 from itertools import combinations, product
 from unittest.mock import patch
 
+import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from mvlab.generators import cross_polytope, cube, generate
+from mvlab.generators import ball_approx_3d, cross_polytope, cube, generate, simplex
 from mvlab.geometry import convex_hull, dilate, minkowski_sum, translate
 from mvlab import hull, linalg
 from mvlab.hull import hull_int
@@ -278,6 +280,73 @@ def test_every_inserted_point_is_a_vertex(cloud):
     else:
         assert made
         assert {i for verts in made for i in verts} <= set(hd.vertex_indices)
+
+
+def _spied_hull(rows, d):
+    """hull_int(rows, d) and the vertex tuples of every boundary simplex it
+    made, by a spy on the one record constructor _F."""
+    made = []
+    make = hull._F
+
+    def spy(verts, *rest):
+        made.append(verts)
+        return make(verts, *rest)
+
+    with patch.object(hull, "_F", spy):
+        return hull_int(rows, d), made
+
+
+# two segments and two triangles in R^4, the bodies of a 4D mixed volume,
+# and the six sums of two or more of them that its polarization builds in
+# full dimension
+_MV4_BODIES = {
+    "seg_a": [(0, 0, 0, 0), (1, 2, 0, -1)],
+    "seg_b": [(1, 0, 1, 0), (0, F(1, 2), -1, 2)],
+    "tri_a": [(0, 0, 0, 0), (1, 2, 0, 1), (0, 1, 3, 0)],
+    "tri_b": [(1, 0, 0, 2), (0, 0, 2, 1), (2, 1, F(1, 2), 0)],
+}
+
+
+def _mv4_sum(name):
+    parts = name.split("+")
+    return reduce(minkowski_sum, [_lower(_MV4_BODIES[b], 4)() for b in parts])
+
+
+# bodies whose own vertex rows are fed back to the kernel, so that every
+# point is inserted; all but the icosphere have non-simplicial facets
+ALL_VERTEX = {
+    **{name: partial(_mv4_sum, name) for name in (
+        "tri_a+tri_b", "seg_a+seg_b+tri_a", "seg_a+seg_b+tri_b",
+        "seg_a+tri_a+tri_b", "seg_b+tri_a+tri_b", "seg_a+seg_b+tri_a+tri_b",
+    )},
+    "cube4+simplex4/3": lambda: minkowski_sum(cube(4), dilate(simplex(4), F(1, 3))),
+    "ball_approx_3d(1,500)": lambda: ball_approx_3d(1, 500),
+}
+
+
+@pytest.mark.parametrize("name", [*ALL_VERTEX, "line.d1"])
+def test_all_vertex_hulls_match_brute_force(name):
+    # every point of an all-vertex cloud is inserted by a cone step, whose
+    # sub-ridge keys glue the new simplices, and coplanar simplices merge
+    # into the non-simplicial facets; a 1D line has inner points and no
+    # sub-ridge keys at all
+    if name == "line.d1":
+        rows = [(5,), (-3,), (0,), (9,), (2,), (7,)]
+    else:
+        rows = list(ALL_VERTEX[name]().ints[0])
+    d = len(rows[0])
+    hd, made = _spied_hull(rows, d)
+    planes, vertices = _brute_force(rows, d)
+    assert {(f.normal, f.offset) for f in hd.facets} == planes
+    assert {hd.points[i] for i in hd.vertex_indices} == vertices
+    assert hd.volume == sum(f.offset * f.weight for f in hd.facets)
+    assert made and {i for verts in made for i in verts} <= set(hd.vertex_indices)
+    if name in ALL_VERTEX:
+        assert hd.vertex_indices == tuple(range(len(rows)))
+        simplicial = name.startswith("ball")
+        assert (max(len(f.vertices) for f in hd.facets) == d) == simplicial
+    else:
+        assert hd.vertex_indices == (0, len(hd.points) - 1)
 
 
 @st.composite

@@ -599,6 +599,28 @@ def test_mixed_volume_requests_no_flat_sum(monkeypatch):
     clear_caches()
 
 
+def test_measure_builds_no_face_at_a_point_normal(monkeypatch):
+    """A candidate normal at which some body has one vertex row at the
+    maximum is skipped before any face is built: every face that
+    mixed_area_measure builds is at least a segment, though such normals
+    occur, and the atoms stay those of the reference."""
+    built, point_normals = [], 0
+
+    def spy(body, z):
+        built.append(face_in_direction(body, z))
+        return built[-1]
+
+    monkeypatch.setattr(mixed, "face_in_direction", spy)
+    clear_caches()
+    for bodies in _zero_term_tuples():
+        rest = bodies[1:]
+        for z in _candidates(rest):
+            point_normals += any(face_in_direction(b, z).adim == 0 for b in rest)
+        assert mixed_area_measure(rest).atoms == _reference_measure(rest)
+    assert built and point_normals
+    assert all(f.adim > 0 for f in built)
+
+
 def test_measure_polarizes_no_point_face(monkeypatch):
     """mixed_area_measure calls mixed_volume on no face tuple that holds a
     point, though such normals occur."""
