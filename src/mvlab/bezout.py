@@ -13,9 +13,9 @@ off K's support numbers, with no moved body built), and a deterministic
 counterexample search over a finite family: segment pairs along edge
 directions, then pairs of facet-moved copies of K.
 
-Every mixed volume here goes through mixed._mixed_volume_fast, which takes
-exact shortcuts and falls back to polarization; its values equal public
-mixed_volume's exactly.
+A mixed volume V(X, Y[n-1]) with Y full-dimensional is a first-variation
+sum over Y's facets (mixed._first_variation); every other one goes through
+mixed._mixed_volume_fast. Both equal public mixed_volume's exactly.
 
 Facet displacements are denominator-cleared: MoveSpec.t shifts the bound of
 the primitive-normal inequality <x, z_i> <= c_i by t directly (a geometric
@@ -28,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import lcm
+from math import lcm, prod
 from typing import NamedTuple, Optional
 
 from .errors import (
@@ -60,6 +60,7 @@ from .mixed import (
     DiscreteMeasure,
     mixed_area_measure,
     surface_area_measure,
+    _first_variation,
     _mixed_volume_fast,
 )
 
@@ -110,13 +111,8 @@ class LemmaCheck(NamedTuple):
 
 
 def bezout_gap(L: Polytope, M: Polytope, K: Polytope) -> BezoutCertificate:
-    n = K.dim
-    if n < 2:
+    if K.dim < 2:
         raise DimensionLimit("gap diagnostics need ambient dimension >= 2")
-    if L.dim != n or M.dim != n:
-        raise DimensionMismatch("L, M, K must share the ambient dimension")
-    if not K.is_full_dimensional:
-        raise DegenerateInput("K must be full-dimensional")
     gap = bezout_gap_general([L, M], K, 2)
     return BezoutCertificate(
         L, M, K, gap, "satisfied" if gap >= 0 else "violated", gap == 0
@@ -124,7 +120,8 @@ def bezout_gap(L: Polytope, M: Polytope, K: Polytope) -> BezoutCertificate:
 
 
 def bezout_gap_general(bodies, delta: Polytope, r: int) -> Fraction:
-    """gap = prod_i V(K_i, delta[n-1]) - V(K_1,..,K_r, delta[n-r])·V_n(delta)^(r-1)."""
+    """gap = prod_i V(K_i, delta[n-1]) - V(K_1,..,K_r, delta[n-r])·V_n(delta)^(r-1);
+    each factor V(K_i, delta[n-1]) is a first-variation sum over delta's facets."""
     bodies = list(bodies)
     n = delta.dim
     if not 2 <= r <= n:
@@ -133,16 +130,14 @@ def bezout_gap_general(bodies, delta: Polytope, r: int) -> Fraction:
         raise BadArity(f"expected {r} bodies, got {len(bodies)}")
     if not delta.is_full_dimensional:
         raise DegenerateInput("delta must be full-dimensional")
-    for b in bodies:
-        if b.dim != n:
-            raise DimensionMismatch("body dimension differs from delta's")
-    rhs = Fraction(1)
-    for b in bodies:
-        rhs *= _mixed_volume_fast([b] + [delta] * (n - 1))
+    if any(b.dim != n for b in bodies):
+        raise DimensionMismatch("body dimension differs from delta's")
+    if any(b.is_empty for b in bodies):
+        raise DegenerateInput("mixed volume of an empty polytope")
+    rhs = prod(_first_variation(b, delta) for b in bodies)
     v, vd = delta.volume_ints
     power = Fraction(v ** (r - 1), vd ** (r - 1))  # V_n(delta)^(r-1)
-    lhs = _mixed_volume_fast(bodies + [delta] * (n - r)) * power
-    return rhs - lhs
+    return rhs - _mixed_volume_fast(bodies + [delta] * (n - r)) * power
 
 
 def _facet_ints(K: Polytope, i=None):
@@ -338,7 +333,7 @@ def lemma_measure_power_identity(K: Polytope, spec: MoveSpec, r: int) -> LemmaCh
     if not 0 <= r <= n - 1:
         raise BadArity(f"r={r} outside 0..{n - 1}")
     Kt = move_facet(K, spec)
-    lam = _mixed_volume_fast([Kt] + [K] * (n - 1)) / K.volume
+    lam = _first_variation(Kt, K) / K.volume
     lhs = mixed_area_measure([Kt] * r + [K] * (n - 1 - r))
     rhs = surface_area_measure(K).scaled(lam**r)
     support = sorted(set(lhs.support()) | set(rhs.support()))
@@ -485,9 +480,4 @@ def facet_move_linearity_check(
         raise BadParams("P has facet normals outside K's fan")
     wP = next((Fraction(w, wd) for zP, _, _, w in rows_P if zP == z), Fraction(0))
     Kt = move_facet(K, MoveSpec(facet_index, t))
-    base = [P] * (n - 1)
-    return (
-        n * _mixed_volume_fast([Kt] + base)
-        - n * _mixed_volume_fast([K] + base)
-        - t * wP
-    )
+    return n * _first_variation(Kt, P) - n * _first_variation(K, P) - t * wP

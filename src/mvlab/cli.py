@@ -125,27 +125,23 @@ def _cmd_mv(ns, bodies):
 
 def _cmd_bezout(ns, bodies):
     polys = _polys(bodies)
-    if ns.r is not None:
-        if ns.r < 2:
-            raise BadArity(f"--r {ns.r} is below 2")
-        if len(polys) != ns.r + 1:
-            raise BadArity(
-                f"--r {ns.r} needs {ns.r} bodies plus the reference body last,"
-                f" got {len(polys)}"
-            )
-        gap = bz.bezout_gap_general(polys[:-1], polys[-1], ns.r)
-        results = {"r": ns.r, "gap": gap}
-        verdicts = {
-            "verdict": "satisfied" if gap >= 0 else "violated",
-            "equality": gap == 0,
-        }
-        return results, verdicts, 0 if gap >= 0 else 1
-    if len(polys) != 3:
-        raise BadArity("bezout needs exactly three bodies: L, M, K")
-    cert = bz.bezout_gap(polys[0], polys[1], polys[2])
-    results = {"gap": cert.gap}
-    verdicts = {"verdict": cert.verdict, "equality": cert.equality}
-    return results, verdicts, 0 if cert.gap >= 0 else 1
+    r = 2 if ns.r is None else ns.r
+    if r < 2:
+        raise BadArity(f"--r {r} is below 2")
+    if len(polys) != r + 1:
+        raise BadArity(
+            "bezout needs exactly three bodies: L, M, K"
+            if ns.r is None
+            else f"--r {r} needs {r} bodies plus the reference body last,"
+            f" got {len(polys)}"
+        )
+    gap = bz.bezout_gap_general(polys[:-1], polys[-1], r)
+    results = {"gap": gap} if ns.r is None else {"r": r, "gap": gap}
+    verdicts = {
+        "verdict": "satisfied" if gap >= 0 else "violated",
+        "equality": gap == 0,
+    }
+    return results, verdicts, 0 if gap >= 0 else 1
 
 
 def _cmd_audit(ns, bodies):

@@ -22,10 +22,10 @@ gives vol_n(K + s·[0,v]) = vol_n(K) + s·|v_k|·vol_{n-1}(QK), and polarizing
 gives V([0,v], K_2,...,K_n) = (|v_k|/n)·V(QK_2,...,QK_n).
 
 The gap and search code in bezout.py uses a third, private evaluator that
-takes exact shortcuts (equal slots, the first-variation sum over a body's
-own facets, projection along a segment slot, and Minkowski's polynomial in
-s for V(L, M, K[n-2]), whose values at s = 1, 2, ... are first-variation
-sums over M + sK) and falls back to polarization; see _mixed_volume_fast.
+takes exact shortcuts (the first-variation sum over a body's own facets,
+projection along a segment slot, and Minkowski's polynomial in s for
+V(L, M, K[n-2]), whose values at s = 1, 2, ... are first-variation sums
+over M + sK) and falls back to polarization; see _mixed_volume_fast.
 Each first-variation sum runs in integers, on L's vertex rows and the
 numerators of K's facet weights over their stored common denominator, and
 makes one Fraction. Polarization likewise sums the bodies' volume
@@ -164,9 +164,9 @@ def _mixed_volume_fast(bodies) -> Fraction:
     """mixed_volume(bodies), through the first exact shortcut that applies
     (Schneider, Convex Bodies, 2nd ed., section 5.1):
 
-    - all slots equal: V(K,...,K) = vol K;
-    - n-1 copies of a full-dimensional K: the first-variation formula
-      V(L,K[n-1]) = (1/n)·sum over K's facets of h_L(z)·w(z);
+    - at least n-1 copies of a full-dimensional K: the first-variation
+      formula V(L,K[n-1]) = (1/n)·sum over K's facets of h_L(z)·w(z),
+      which for L = K is the pyramid formula for vol K;
     - a segment slot: projection along it, recursing in dimension n-1;
     - n-2 copies of a full-dimensional K beside L and M: Minkowski's
       polynomial V(L,(M+sK)[n-1]) = sum over j of
@@ -183,12 +183,9 @@ def _mixed_volume_fast(bodies) -> Fraction:
     polarization oracle.
     """
     bodies, n = _checked(bodies, 0)
-    first = bodies[0]
-    if all(b == first for b in bodies):
-        return Fraction(*first.volume_ints)
     for K in bodies:
-        if K.is_full_dimensional and sum(b == K for b in bodies) == n - 1:
-            return _first_variation(next(b for b in bodies if b != K), K)
+        if K.is_full_dimensional and sum(b == K for b in bodies) >= n - 1:
+            return _first_variation(next((b for b in bodies if b != K), K), K)
     for i, S in enumerate(bodies):
         if S.adim == 1:
             # V([a, b]/s, rest) = V([0, b - a], rest)/s

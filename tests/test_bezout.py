@@ -1,9 +1,11 @@
 import random
 from fractions import Fraction
+from math import prod
 
 import pytest
 
 from conftest import (
+    mix_body,
     nonsimplex_hull,
     rand_affine_simplex,
     rand_body,
@@ -57,6 +59,7 @@ from mvlab.geometry import (
     contains_point,
     convex_hull,
     dilate,
+    empty_polytope,
     facet_structure,
     interior_point,
     support_value,
@@ -64,7 +67,7 @@ from mvlab.geometry import (
     vertex_enumeration,
 )
 from mvlab.linalg import dot, primitive_from_rational
-from mvlab.mixed import surface_area_measure, DiscreteMeasure
+from mvlab.mixed import surface_area_measure, mixed_volume, DiscreteMeasure
 
 F = Fraction
 
@@ -152,6 +155,73 @@ def test_gap_errors():
     unit = cube(1)
     with pytest.raises(DimensionLimit):
         bezout_gap(unit, unit, unit)
+
+
+def test_gap_empty_body_raises_degenerate_input():
+    """An empty body in any slot is rejected before a first-variation sum
+    takes a max over its (absent) vertex rows."""
+    for n in (2, 3):
+        K, E, B = cube(n), empty_polytope(n), simplex(n)
+        for slot in range(2):
+            L, M = (E, B) if slot == 0 else (B, E)
+            with pytest.raises(DegenerateInput):
+                bezout_gap(L, M, K)
+            with pytest.raises(DegenerateInput):
+                bezout_gap_general([L, M], K, 2)
+        for slot in range(n):
+            bodies = [B] * n
+            bodies[slot] = E
+            with pytest.raises(DegenerateInput):
+                bezout_gap_general(bodies, K, n)
+
+
+def test_gap_makes_one_dispatcher_call(monkeypatch):
+    """Each evaluation sends only V(K_1,..,K_r, delta[n-r]) through
+    _mixed_volume_fast; its value matches polarization everywhere."""
+    calls = []
+    fast = bezout._mixed_volume_fast
+    monkeypatch.setattr(
+        bezout, "_mixed_volume_fast", lambda b: calls.append(len(b)) or fast(b)
+    )
+    rng = random.Random("one-dispatch")
+    for n in (2, 3, 4):
+        delta = rand_affine_simplex(rng, n) if n == 4 else rand_full_body(rng, n)
+        for r in range(2, n + 1):
+            bodies = [mix_body(rng, n, segments_only=n == 4) for _ in range(r)]
+            calls.clear()
+            gap = bezout_gap_general(bodies, delta, r)
+            assert calls == [n]
+            factors = prod(mixed_volume([b] + [delta] * (n - 1)) for b in bodies)
+            vol = mixed_volume([delta] * n)
+            assert gap == factors - mixed_volume(bodies + [delta] * (n - r)) * vol ** (r - 1)
+        calls.clear()
+        bezout_gap(*bodies[:2], delta)
+        assert calls == [n]
+
+
+def test_gap_factors_are_first_variations(monkeypatch):
+    """Each right-hand factor V(b, delta[n-1]) is the first-variation sum
+    and equals polarization, for b = delta, a point, a segment, a flat
+    triangle and a full body."""
+    factors = []
+    first = bezout._first_variation
+    monkeypatch.setattr(
+        bezout,
+        "_first_variation",
+        lambda L, K: factors.append((L, K, first(L, K))) or factors[-1][2],
+    )
+    rng = random.Random("factors")
+    for n in (2, 3, 4):
+        delta = rand_full_body(rng, n)
+        triangle = rand_body(rng, n, count=3)
+        while triangle.adim != 2:
+            triangle = rand_body(rng, n, count=3)
+        point = convex_hull([(1,) * n], n, allow_lower=True)
+        for b in (delta, point, rand_segment(rng, n), triangle, cube(n)):
+            factors.clear()
+            bezout_gap_general([b, b], delta, 2)
+            assert [(L, K) for L, K, _ in factors] == [(b, delta), (b, delta)]
+            assert factors[0][2] == mixed_volume([b] + [delta] * (n - 1))
 
 
 # ---------------------------------------------------------------- facet moves

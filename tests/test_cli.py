@@ -79,6 +79,31 @@ def test_bezout_general_r(capsys):
     assert rep["verdicts"]["verdict"] == "satisfied"
 
 
+def test_bezout_default_r_is_r_2(tmp_path, capsys):
+    """bezout without --r is --r 2: the same gap, verdicts and exit code;
+    the reports differ only in params.r and results.r."""
+    lf = write_segment_doc(tmp_path / "L.json", (0, 0), (1, 0), "e1")
+    mf = write_segment_doc(tmp_path / "M.json", (0, 0), (0, 1), "e2")
+    for K, expected in (("cube:2", 1), ("simplex:2", 0)):
+        bodies = ["--input", lf, "--input", mf, "--gen", K]
+        code, rep = run_json(capsys, ["bezout"] + bodies)
+        code_r, rep_r = run_json(capsys, ["bezout", "--r", "2"] + bodies)
+        assert code == code_r == expected
+        assert rep["params"].pop("r") is None
+        assert rep_r["params"].pop("r") == 2
+        assert "r" not in rep["results"] and rep_r["results"].pop("r") == 2
+        assert strip_timing(rep) == strip_timing(rep_r)
+    two = ["--gen", "cube:2", "--gen", "cube:2"]
+    for argv, message in (
+        (["bezout"] + two, "bezout needs exactly three bodies: L, M, K"),
+        (["bezout", "--r", "2"] + two,
+         "--r 2 needs 2 bodies plus the reference body last, got 2"),
+    ):
+        code, rep = run_json(capsys, argv)
+        assert code == 2
+        assert rep["error"] == {"type": "BadArity", "message": message}
+
+
 def test_input_gen_order_interleaved(tmp_path, capsys):
     lf = write_segment_doc(tmp_path / "L.json", (0, 0), (1, 0), "e1")
     code, rep = run_json(capsys, ["mv", "--input", lf, "--gen", "cube:2"])

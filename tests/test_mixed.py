@@ -417,6 +417,10 @@ def test_fast_evaluator_branches(monkeypatch):
     cases = [
         # (bodies, evaluated by polarization)
         ([cube3()] * 3, False),
+        # n equal slots of a full K: the first-variation sum over K's own
+        # facets (vol K); of a flat K: polarization (0)
+        ([simplex(4)] * 4, False),
+        ([tri3] * 3, True),
         ([point3, cube3(), simplex(3)], False),
         ([tri3, simplex(3), simplex(3)], False),
         ([seg((0, 0), (1, 2), 2), seg((1, 0), (0, 3), 2)], False),
@@ -441,6 +445,9 @@ def test_fast_evaluator_branches(monkeypatch):
         assert _mixed_volume_fast(bodies) == expected
         assert bool(calls) == falls_back
         monkeypatch.undo()
+    assert _mixed_volume_fast([simplex(4)] * 4) == F(1, 24)
+    assert _mixed_volume_fast([cube3()] * 3) == 1
+    assert _mixed_volume_fast([tri3] * 3) == 0
 
 
 # ------------------------------------------------------- cache and zero terms
