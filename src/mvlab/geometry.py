@@ -35,9 +35,9 @@ from .errors import (
 )
 from .hull import hull_int
 from .linalg import (
+    _eliminate,
     cross_rows,
     dot,
-    primitive,
     primitive_from_rational,
     scale_to_int,
 )
@@ -444,9 +444,46 @@ def clip_halfspace(P: Polytope, h: Halfspace) -> Polytope:
     return _from_points(pts, P.dim)
 
 
+def _span_projection(U, n: int):
+    """The integer oblique projection along the span of m rows U in R^n
+    (integers or Fractions) onto the n-m coordinates outside the pivot
+    columns k_i of _eliminate(U, n); None when the rows are dependent.
+
+    The elimination leaves rows R_i that lead in column k_i, are zero in
+    the other pivot columns and share one pivot entry p, so x -> x - sum
+    of (x_(k_i)/p)·R_i zeroes the pivot columns. Cleared of |p|, free
+    coordinate j of a vertex row x at scale s is <c_j, x> at scale s·|p|,
+    with c_j = sign(p)·(p·e_j - sum of R_i[j]·e_(k_i)). Returns (pivots,
+    C, |p|), C the rows c_j in coordinate order (see _project_rows); for
+    integer rows, |p| times their gcds is the pivot minor |det U_P|.
+    """
+    pivots, rows = _eliminate(U, n)
+    if len(pivots) < len(U):
+        return None
+    p = rows[0][pivots[0]]
+    sign = 1 if p > 0 else -1
+    C = []
+    for j in range(n):
+        if j not in pivots:
+            c = [0] * n
+            c[j] = sign * p
+            for k, row in zip(pivots, rows):
+                c[k] = -sign * row[j]
+            C.append(c)
+    return pivots, C, abs(p)
+
+
+def _project_rows(P: Polytope, C, p: int) -> Polytope:
+    """The image of a nonempty P under the projection (C, p) of
+    _span_projection: the hull of its vertex rows' images, in R^len(C)."""
+    rows, s = P.ints
+    return _from_int_points([tuple(dot(c, x) for c in C) for x in rows], s * p, len(C))
+
+
 def project_along(P: Polytope, v):
     """Project P along v onto the coordinate hyperplane {x_k = 0}, where k
-    is the first nonzero coordinate of v.
+    is the first nonzero coordinate of v: the m = 1 case of
+    _span_projection.
 
     Each vertex x maps to x - (x_k/v_k)·v, and coordinate k is dropped.
     Returns (projection, |v_k|). By Cavalieri, vol_n(K + s·[0,v]) =
@@ -454,29 +491,23 @@ def project_along(P: Polytope, v):
     |v_k|·vol_{n-1}(QK) is the orthogonal projection's volume times ||v||,
     with no square root. The map is unchanged when v is scaled, so it runs
     on the primitive integer direction u of v: a vertex row x at scale s
-    maps to the row (x_j·u_k - x_k·u_j)_{j != k} at scale s·|u_k|. Along an
-    axis e_k (u_k = ±1) that deletes coordinate k. An integer v is reduced
-    to u directly; any other v is first made exact as `Fraction`s.
+    maps to the row (x_j·u_k - x_k·u_j)_{j != k}, negated when u_k < 0, at
+    scale s·|u_k|. Along an axis e_k (u_k = ±1) that deletes coordinate k.
+    An integer v is reduced to u directly; any other v is first made exact
+    as `Fraction`s.
     """
     if P.is_empty:
         raise DegenerateInput("projection of the empty polytope")
     v = tuple(v)
-    n = P.dim
-    if len(v) != n:
+    if len(v) != P.dim:
         raise DimensionMismatch("direction length mismatch")
-    if all(type(c) is int for c in v):
-        u = primitive(v)
-    else:
+    if not all(type(c) is int for c in v):
         v = tuple(Fraction(c) for c in v)
-        u = primitive_from_rational(v)
-    k = next((i for i, c in enumerate(u) if c), None)
-    if k is None:
+    projection = _span_projection([v], P.dim)
+    if projection is None:
         raise ZeroVector("projection direction is zero")
-    sign = 1 if u[k] > 0 else -1
-    coef = [(j, sign * u[k], sign * u[j]) for j in range(n) if j != k]
-    rows, s = P.ints
-    pts = [tuple(x[j] * a - x[k] * b for j, a, b in coef) for x in rows]
-    return _from_int_points(pts, s * abs(u[k]), n - 1), Fraction(abs(v[k]))
+    (k,), C, p = projection
+    return _project_rows(P, C, p), Fraction(abs(v[k]))
 
 
 def interior_point(P: Polytope) -> tuple[Fraction, ...]:

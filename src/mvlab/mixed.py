@@ -15,16 +15,29 @@ a coordinate axis; a normal at which some face is a point is skipped. Both
 skips drop only terms that are 0 by a dimension count (Schneider, Convex
 Bodies, 2nd ed., Thm 5.1.8), so the paths stay independent oracles.
 
-A segment slot is taken by one rational projection (Schneider, Convex
-Bodies, 2nd ed., section 5.1): with k the first nonzero coordinate of v and
-Q the oblique projection x -> x - (x_k/v_k)·v onto {x_k = 0}, Cavalieri
-gives vol_n(K + s·[0,v]) = vol_n(K) + s·|v_k|·vol_{n-1}(QK), and polarizing
-gives V([0,v], K_2,...,K_n) = (|v_k|/n)·V(QK_2,...,QK_n).
+Segment slots are taken by one rational projection (Schneider, Convex
+Bodies, 2nd ed., section 5.1). For one slot [0,v], with k the first nonzero
+coordinate of v and Q the oblique projection x -> x - (x_k/v_k)·v onto
+{x_k = 0}, Cavalieri gives
+vol_n(K + s·[0,v]) = vol_n(K) + s·|v_k|·vol_{n-1}(QK), and polarizing
+gives V([0,v], K_2,...,K_n) = (|v_k|/n)·V(QK_2,...,QK_n). m such steps,
+for slots [0,u_j] with independent rows U, give
+
+    V([0,u_1],...,[0,u_m], K_{m+1},...,K_n)
+        = ((n-m)!/n!)·|det U_P|·V(QK_{m+1},...,QK_n),
+
+with P the pivot columns of one integer elimination of U, U_P its m x m
+minor on them, and Q the oblique projection along span U onto the other
+n-m coordinates (geometry._span_projection); the steps' factors multiply
+to |det U_P|. The elimination divides each row by its gcd, and its common
+pivot is, up to sign, the pivot minor of those primitive rows (Bareiss),
+so |det U_P| is that pivot times the rows' gcds. Dependent rows give 0, a
+flat segment sum, and m = n gives |det U|/n!.
 
 The gap and search code in bezout.py uses a third, private evaluator that
 takes exact shortcuts (the first-variation sum over a body's own facets,
-projection along a segment slot, and Minkowski's polynomial in s for
-V(L, M, K[n-2]), whose values at s = 1, 2, ... are first-variation sums
+projection along all segment slots at once, and Minkowski's polynomial in
+s for V(L, M, K[n-2]), whose values at s = 1, 2, ... are first-variation sums
 over M + sK) and falls back to polarization; see _mixed_volume_fast.
 Each first-variation sum runs in integers, on L's vertex rows and the
 numerators of K's facet weights over their stored common denominator, and
@@ -43,7 +56,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
-from math import factorial, lcm
+from math import factorial, gcd, lcm, prod
 
 from .errors import (
     BadArity,
@@ -56,6 +69,8 @@ from .errors import (
 from .geometry import (
     DIM_CAP,
     Polytope,
+    _project_rows,
+    _span_projection,
     _support_rows,
     dilate,
     face_in_direction,
@@ -167,7 +182,11 @@ def _mixed_volume_fast(bodies) -> Fraction:
     - at least n-1 copies of a full-dimensional K: the first-variation
       formula V(L,K[n-1]) = (1/n)·sum over K's facets of h_L(z)·w(z),
       which for L = K is the pyramid formula for vol K;
-    - a segment slot: projection along it, recursing in dimension n-1;
+    - m segment slots [a_j, b_j]/s_j: one projection Q along the rows
+      u_j = b_j - a_j (module docstring), V(QK_{m+1},...,QK_n) times
+      ((n-m)!/n!)·|det U_P|/(s_1···s_m), recursing in dimension n-m on
+      each distinct body's image; with no hull, 0 for dependent u_j and
+      |det U|/(n!·s_1···s_n) for m = n;
     - n-2 copies of a full-dimensional K beside L and M: Minkowski's
       polynomial V(L,(M+sK)[n-1]) = sum over j of
       C(n-1,j)·s^(n-1-j)·V(L,M[j],K[n-1-j]), whose values are
@@ -179,19 +198,32 @@ def _mixed_volume_fast(bodies) -> Fraction:
     first-variation sum by Minkowski's relation (sum of w(z)·z over K's
     facets is 0) and polarization because a translate keeps the volume.
 
-    Only the gap and search code uses it; public mixed_volume stays the
-    polarization oracle.
+    Only the gap and search code uses it; public mixed_volume
+    (polarization), mixed_volume_via_measure (area measure) and
+    segment_mixed_volume (one slot projected, then polarization) stay the
+    independent oracles it is tested against.
     """
     bodies, n = _checked(bodies, 0)
     for K in bodies:
         if K.is_full_dimensional and sum(b == K for b in bodies) >= n - 1:
             return _first_variation(next((b for b in bodies if b != K), K), K)
-    for i, S in enumerate(bodies):
-        if S.adim == 1:
-            # V([a, b]/s, rest) = V([0, b - a], rest)/s
-            (a, b), s = S.ints
-            rest = bodies[:i] + bodies[i + 1 :]
-            return _project_segment_slot(vsub(b, a), rest, _mixed_volume_fast) / s
+    segments = [S for S in bodies if S.adim == 1]
+    if segments:
+        # [a_j, b_j]/s_j is [0, u_j]/s_j, u_j = b_j - a_j, up to a translation
+        U = [vsub(b, a) for (a, b), _ in (S.ints for S in segments)]
+        projection = _span_projection(U, n)
+        if projection is None:
+            return Fraction(0)  # dependent segments
+        _, C, p = projection
+        m = len(U)
+        # ((n-m)!/n!)·|det U_P|/(s_1···s_m), |det U_P| = p·(the rows' gcds)
+        factor = Fraction(p * prod(gcd(*u) for u in U) * factorial(n - m),
+                          prod(S.ints[1] for S in segments) * factorial(n))
+        if m == n:
+            return factor
+        rest = [K for K in bodies if K.adim != 1]
+        images = {K: _project_rows(K, C, p) for K in dict.fromkeys(rest)}
+        return factor * _mixed_volume_fast([images[K] for K in rest])
     for K in bodies:
         if K.is_full_dimensional and sum(b == K for b in bodies) == n - 2:
             L, M = (b for b in bodies if b != K)
@@ -313,29 +345,19 @@ def mixed_volume_via_measure(L: Polytope, bodies) -> Fraction:
 def segment_mixed_volume(v, bodies) -> Fraction:
     """V([0,v], K_2,...,K_n) = (|v_k|/n)·V(QK_2,...,QK_n), where Q is the
     oblique projection along v onto {x_k = 0} for the first nonzero
-    coordinate k of v (see geometry.project_along); by Cavalieri, |v_k|
-    times the (n-1)-volume of QK is ||v|| times that of K's orthogonal
-    projection, so the value is rational."""
+    coordinate k of v (geometry.project_along, the m = 1 case of the map
+    the gap code uses for m segment slots); by Cavalieri, |v_k| times the
+    (n-1)-volume of QK is ||v|| times that of K's orthogonal projection,
+    so the value is rational. The projections' mixed volume is taken by
+    polarization, so this stays an oracle independent of the gap code's
+    shortcuts. Each distinct body is projected once."""
     bodies, n = _checked(bodies, 1)
     vv = tuple(Fraction(c) for c in v)
     if len(vv) != n:
         raise DimensionMismatch("segment direction length mismatch")
     if not any(vv):
         raise ZeroVector("segment direction is zero")
-    return _project_segment_slot(vv, bodies, mixed_volume)
-
-
-def _project_segment_slot(v, bodies, inner_mixed_volume) -> Fraction:
-    """V([0,v], bodies) = |v_k|·V(QK_2,...,QK_n)/n for n-1 checked bodies
-    in R^n and a nonzero rational v, Q the oblique projection of
-    geometry.project_along (exact by Cavalieri, see there), with
-    inner_mixed_volume evaluating the (n-1)-dimensional mixed volume of
-    the projections. Each distinct body is projected once."""
-    images = {}
-    for body in bodies:
-        if body.key() not in images:
-            images[body.key()] = project_along(body, v)
-    projected = [images[b.key()][0] for b in bodies]
+    images = {K: project_along(K, vv) for K in dict.fromkeys(bodies)}
     # the factor |v_k| depends on v alone
-    scale = images[bodies[0].key()][1]
-    return scale * inner_mixed_volume(projected) / len(v)
+    factor = images[bodies[0]][1]
+    return factor * mixed_volume([images[K][0] for K in bodies]) / n

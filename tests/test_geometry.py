@@ -4,7 +4,7 @@ import random
 from decimal import Decimal
 from fractions import Fraction
 from itertools import combinations
-from math import factorial, lcm
+from math import factorial, gcd, lcm, prod
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -49,7 +49,15 @@ from mvlab.geometry import (
     vertex_enumeration,
 )
 from mvlab.hull import hull_int
-from mvlab.linalg import cross_rows, dot, primitive_from_rational, rank, scale_to_int
+from mvlab.linalg import (
+    cross_rows,
+    det,
+    dot,
+    primitive_from_rational,
+    rank,
+    scale_to_int,
+    solve,
+)
 
 F = Fraction
 
@@ -601,6 +609,35 @@ def test_integer_rows_reference_images():
         assert P == convex_hull(images, 2) and factor == abs(F(v[k]))
         assert type(factor) is F
     assert interior_point(B) == tuple(sum(c) / 3 for c in zip(*B.vertices))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_span_projection_reference_images(n):
+    """Along m = 1..n-1 integer rows U, each vertex x maps to x minus the
+    combination of U's rows that zeroes the pivot columns, which the
+    Fraction solve finds; |p| times the rows' gcds is U's pivot minor, and
+    dependent rows have no map."""
+    rng = random.Random(f"span-projection:{n}")
+    pad = (0,) * (n - 2)
+    assert geometry._span_projection([(1, 2) + pad, (-2, -4) + pad], n) is None
+    for m in range(1, n):
+        for _ in range(3):
+            U = [tuple(int(c) * rng.choice((1, 2, 3)) for c in u)
+                 for u in random_points(rng, n, m, 3, 1)]
+            projection = geometry._span_projection(U, n)
+            if rank(U) < m:
+                assert projection is None
+                continue
+            pivots, C, p = projection
+            minor = [[u[k] for k in pivots] for u in U]
+            assert abs(det(minor)) == p * prod(gcd(*u) for u in U)
+            K = rand_full_body(rng, n)
+            images = []
+            for x in K.vertices:
+                lam = solve([list(col) for col in zip(*minor)], [x[k] for k in pivots])
+                images.append(tuple(x[j] - sum(l * u[j] for l, u in zip(lam, U))
+                                    for j in range(n) if j not in pivots))
+            assert geometry._project_rows(K, C, p) == convex_hull(images, n - m, True)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])

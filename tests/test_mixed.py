@@ -12,8 +12,8 @@ from conftest import (
     rand_full_body,
     rand_segment,
 )
-from mvlab import mixed
-from mvlab.bezout import MoveSpec, move_facet, safe_move_range
+from mvlab import geometry, mixed
+from mvlab.bezout import MoveSpec, bezout_gap, move_facet, safe_move_range
 from mvlab.errors import (
     BadArity,
     BadParams,
@@ -37,6 +37,8 @@ from mvlab.geometry import (
     support_value,
     translate,
 )
+from mvlab.hull import hull_int
+from mvlab.linalg import det
 from mvlab.mixed import (
     _mixed_volume_fast,
     clear_caches,
@@ -448,6 +450,93 @@ def test_fast_evaluator_branches(monkeypatch):
     assert _mixed_volume_fast([simplex(4)] * 4) == F(1, 24)
     assert _mixed_volume_fast([cube3()] * 3) == 1
     assert _mixed_volume_fast([tri3] * 3) == 0
+
+
+def _scaled_segment(rng, n, scale):
+    """A segment [a, b]/scale, a != b integer rows in [-3, 3]^n."""
+    while True:
+        a, b = random_points(rng, n, 2, 3, 1)
+        if a != b:
+            return seg(*(tuple(F(c, scale) for c in p) for p in (a, b)), n)
+
+
+def _segment_slot_tuples(n):
+    """Seeded tuples with m = 1..n segment slots, their endpoints over the
+    distinct scales 1, 2, 3, 5, in shuffled order beside triangles,
+    (n+2)-point bodies or n-m copies of one full-dimensional K."""
+    rng = random.Random(f"segment-slots:{n}")
+    for m in range(1, n + 1):
+        fills = ("tri", "fat", "repeated") if m < n else ("none",)
+        for fill in fills:
+            for _ in range(3):
+                bodies = [_scaled_segment(rng, n, s) for s in (1, 2, 3, 5)[:m]]
+                if fill == "repeated":
+                    bodies += [rand_full_body(rng, n)] * (n - m)
+                else:
+                    count = 3 if fill == "tri" else n + 2
+                    bodies += [rand_body(rng, n, count=count) for _ in range(n - m)]
+                rng.shuffle(bodies)
+                yield m, bodies
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_segment_slots_match_polarization(n):
+    # every segment slot is projected away in one step, onto R^(n-m)
+    seen = set()
+    for m, bodies in _segment_slot_tuples(n):
+        assert _mixed_volume_fast(bodies) == mixed_volume(bodies), bodies
+        seen.add(m)
+    assert seen == set(range(1, n + 1))
+
+
+def test_segment_slots_dependent_or_full_build_no_hull(monkeypatch):
+    # dependent segment directions give 0, and n segments |det U|/n!, the
+    # n-volume of the parallelotope they span over n!; neither builds a hull
+    rng = random.Random("segment-slots:closed")
+    dependent = [
+        [seg((0, 0), (1, 2), 2), seg((1, 1), (F(3, 2), 2), 2)],
+        [seg((0, 0, 0), (1, 2, 0), 3), seg((1, 1, 1), (3, 5, 1), 3), cube3()],
+        [seg((0,) * 4, (1, 0, 2, 0), 4), seg((0,) * 4, (0, 1, 0, 3), 4),
+         seg((1,) * 4, (2, 2, 3, 4), 4), simplex(4)],
+    ]
+    full = [[_scaled_segment(rng, n, s) for s in (1, 2, 3, 5)[:n]]
+            for n in (2, 3, 4) for _ in range(4)]
+    expected = [mixed_volume(bodies) for bodies in dependent + full]
+    assert expected[: len(dependent)] == [0] * len(dependent)
+    for bodies, value in zip(full, expected[len(dependent) :]):
+        U = [tuple(b - a for a, b in zip(*S.vertices)) for S in bodies]
+        assert value == abs(det(U)) / factorial(len(U))
+    hulls = []
+    monkeypatch.setattr(geometry, "hull_int",
+                        lambda *a: hulls.append(a) or hull_int(*a))
+    assert [_mixed_volume_fast(bodies) for bodies in dependent + full] == expected
+    assert hulls == []
+
+
+@pytest.mark.parametrize("n, made", [(4, [(2, 2)]), (3, [(1, 1)])])
+def test_segment_pair_gap_builds_one_hull_in_the_quotient(n, made, monkeypatch):
+    # the gap of two segments against an affine simplex K projects K once,
+    # along both segments, and takes V(QK[n-2]) from QK's own facets: one
+    # full hull in R^(n-2), none in R^(n-1)
+    rng = random.Random(f"segment-pair-gap:{n}")
+    for _ in range(3):
+        L, M = rand_segment(rng, n), rand_segment(rng, n)
+        K = rand_affine_simplex(rng, n)
+        hulls = []
+
+        def spy(rows, d):
+            hd = hull_int(rows, d)
+            hulls.append((d, hd.adim))
+            return hd
+
+        monkeypatch.setattr(geometry, "hull_int", spy)
+        gap = bezout_gap(L, M, K).gap
+        monkeypatch.undo()
+        assert hulls == made
+        V = mixed_volume
+        assert gap == V([L] + [K] * (n - 1)) * V([M] + [K] * (n - 1)) - V(
+            [L, M] + [K] * (n - 2)
+        ) * V([K] * n)
 
 
 # ------------------------------------------------------- cache and zero terms
